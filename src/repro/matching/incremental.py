@@ -3,12 +3,23 @@
 The key optimisation of the fast repair algorithm: after a repair mutates the
 graph, we do not re-enumerate all matches of all rule patterns.  Instead:
 
-1. **Invalidation** — existing matches that bind a removed element, or whose
-   bound elements were touched by the delta, are re-verified; invalid ones
-   are dropped.  The store keeps an **inverted element→match index** (node id
-   and edge id → match keys), so only the matches actually overlapping the
-   delta are visited — O(matches touching the delta), not O(all stored
-   matches).
+1. **Invalidation** — :meth:`Pattern.check_match` reads only a match's bound
+   nodes and the edges between pairs of bound nodes, so a change can alter
+   only the stored matches inside its *region* (:class:`DeltaRegion`):
+
+   * an edge change (add, remove, update, relabel) from ``s`` to ``t``
+     reaches the matches binding both ``s`` and ``t`` (a match binding the
+     edge itself binds both, since an edge variable binds an edge between
+     the bound endpoints and edges never change endpoints);
+   * a node update, relabel or removal reaches the matches binding the node;
+   * a merge reaches the matches binding the survivor or the merged node;
+   * an added node reaches no stored match.
+
+   Only the matches in the region are re-verified; invalid ones are dropped.
+   The store keeps an **inverted node→match index** (node id → match keys),
+   and an endpoint pair is the intersection of two node buckets, so the cost
+   is O(matches in the region) — a hub node bound by thousands of matches
+   costs nothing when the other endpoint is bound by few.
 2. **Discovery** — a match that exists after the delta but not before must
    bind at least one *changed* element.  Seeded backtracking searches are
    therefore derived per change kind: an added/updated/relabelled data edge
@@ -20,6 +31,12 @@ graph, we do not re-enumerate all matches of all rule patterns.  Instead:
    existential-positive pattern language and trigger no discovery.  The union
    of the searches, deduplicated by match key, is exactly the set of new
    matches.
+3. **Recheck candidates** — for the evidence stores of incompleteness rules,
+   :meth:`IncrementalMatcher.recheck_candidates` names the stored matches
+   whose missing-pattern extension a delta may have removed.  The same
+   region rule applies, restricted to subtractive changes and to edges whose
+   label the missing pattern reads; a missing pattern with variables of its
+   own can reach outside the bound nodes and falls back to the whole store.
 
 The correctness argument is the standard locality argument for connected
 patterns: every new match binds a changed element, every changed element's
@@ -42,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.graph.delta import ChangeKind, GraphDelta
+from repro.graph.delta import ChangeKind, GraphChange, GraphDelta
 from repro.graph.property_graph import PropertyGraph
 from repro.matching.decomposition import variables_compatible_with_label
 from repro.matching.index import CandidateIndex, pattern_requirements
@@ -56,6 +73,102 @@ _EDGE_SEED_KINDS = frozenset({ChangeKind.ADD_EDGE, ChangeKind.UPDATE_EDGE,
                               ChangeKind.RELABEL_EDGE})
 _NODE_SEED_KINDS = frozenset({ChangeKind.ADD_NODE, ChangeKind.UPDATE_NODE,
                               ChangeKind.RELABEL_NODE})
+_EDGE_KINDS = _EDGE_SEED_KINDS | {ChangeKind.REMOVE_EDGE}
+
+
+@dataclass
+class DeltaRegion:
+    """Where a delta can change what :meth:`Pattern.check_match` reads.
+
+    A stored match is inside the region when it binds a node in ``nodes``
+    or both endpoints of a pair in ``pairs``; no other stored match can have
+    changed validity (see the module docstring for the rule per change kind).
+    """
+
+    nodes: set[str] = field(default_factory=set)
+    pairs: set[tuple[str, str]] = field(default_factory=set)
+
+    @classmethod
+    def of(cls, changes: Iterable[GraphChange]) -> "DeltaRegion":
+        region = cls()
+        for change in changes:
+            region.add(change)
+        return region
+
+    def add(self, change: GraphChange) -> None:
+        """Widen the region by the reach of one change."""
+        kind = change.kind
+        if kind in _EDGE_KINDS:
+            self.pairs.add(change.touched_nodes)  # (source, target)
+        elif kind is not ChangeKind.ADD_NODE:
+            self.nodes.add(change.node_id)
+            merged = change.details.get("merged")
+            if merged is not None:
+                self.nodes.add(merged)
+
+
+def _label_set(labels: Iterable[str | None]) -> frozenset[str] | None:
+    """The labels as a set, or ``None`` (any label) if one is a wildcard."""
+    labels = list(labels)
+    return None if None in labels else frozenset(labels)
+
+
+def _reads(read: frozenset[str] | None, labels: tuple[str | None, ...]) -> bool:
+    """Whether a label set reads any of ``labels`` (``None`` = unknown)."""
+    return read is None or any(label is None or label in read for label in labels)
+
+
+def _labels_before(graph: PropertyGraph, change: GraphChange) -> tuple[str | None, ...]:
+    """The labels the changed element(s) carried before ``change``
+    (``None`` where the change does not record it and the graph no longer
+    holds the element)."""
+    kind = change.kind
+    details = change.details
+    if kind in (ChangeKind.REMOVE_NODE, ChangeKind.REMOVE_EDGE):
+        return (details.get("label"),)
+    if kind in (ChangeKind.RELABEL_NODE, ChangeKind.RELABEL_EDGE):
+        return (details.get("before"),)
+    if kind is ChangeKind.UPDATE_EDGE:
+        edge_id = change.edge_id
+        return (graph.edge(edge_id).label
+                if edge_id is not None and graph.has_edge(edge_id) else None,)
+    node_id = change.node_id
+    label = (graph.node(node_id).label
+             if node_id is not None and graph.has_node(node_id) else None)
+    if kind is ChangeKind.MERGE_NODES:
+        return (label, details.get("merged_label"))
+    return (label,)
+
+
+@dataclass(frozen=True)
+class _MissingFootprint:
+    """The labels an incompleteness rule's missing pattern reads.
+
+    ``edge_labels`` are its edge labels.  ``own_labels`` are the labels of the
+    variables it does not share with the evidence; empty when it has none,
+    so its extension lies inside the evidence match's bound nodes.  ``None``
+    stands for any label.
+    """
+
+    edge_labels: frozenset[str] | None
+    own_labels: frozenset[str] | None
+
+    @classmethod
+    def of(cls, evidence: Pattern, missing: Pattern) -> "_MissingFootprint":
+        shared = set(evidence.variables)
+        return cls(edge_labels=_label_set(edge.label for edge in missing.edges),
+                   own_labels=_label_set(node.label for node in missing.nodes
+                                         if node.variable not in shared))
+
+    def reaches_outside(
+            self, changes: list[tuple[GraphChange, tuple[str | None, ...]]]) -> bool:
+        """Whether a subtractive change may have removed an extension that
+        runs through nodes the evidence match does not bind."""
+        if self.own_labels is not None and not self.own_labels:
+            return False
+        return any(_reads(self.edge_labels if change.kind in _EDGE_KINDS
+                          else self.own_labels, labels)
+                   for change, labels in changes)
 
 
 @dataclass
@@ -63,15 +176,14 @@ class MatchStore:
     """The current set of matches of one pattern, keyed by match identity.
 
     Alongside the primary ``matches`` dict the store maintains an inverted
-    index from bound element ids to match keys, so that delta-driven
-    invalidation can jump straight to the matches overlapping a changed
-    region instead of scanning the whole store.
+    index from bound node ids to match keys, so that delta-driven
+    invalidation can jump straight to the matches inside a changed region
+    instead of scanning the whole store.
     """
 
     pattern: Pattern
     matches: dict[tuple, Match] = field(default_factory=dict)
     _by_node: dict[str, set[tuple]] = field(default_factory=dict, repr=False)
-    _by_edge: dict[str, set[tuple]] = field(default_factory=dict, repr=False)
 
     def add(self, match: Match) -> bool:
         """Insert a match; returns True if it was not already present."""
@@ -81,8 +193,6 @@ class MatchStore:
         self.matches[key] = match
         for node_id in match.node_bindings.values():
             self._by_node.setdefault(node_id, set()).add(key)
-        for edge_id in match.edge_bindings.values():
-            self._by_edge.setdefault(edge_id, set()).add(key)
         return True
 
     def discard(self, match: Match) -> None:
@@ -95,47 +205,35 @@ class MatchStore:
                 bucket.discard(key)
                 if not bucket:
                     del self._by_node[node_id]
-        for edge_id in match.edge_bindings.values():
-            bucket = self._by_edge.get(edge_id)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_edge[edge_id]
 
-    def matches_touching(self, node_ids: Iterable[str] = (),
-                         edge_ids: Iterable[str] = ()) -> list[Match]:
-        """Stored matches binding any of the given element ids.
+    def matches_in(self, region: DeltaRegion) -> list[Match]:
+        """Stored matches inside ``region``, ordered by match key.
 
-        Cost is proportional to the number of overlapping matches (plus one
-        index probe per queried id), independent of the store size.  Results
-        are ordered by match key so downstream iteration (violation queueing)
-        stays deterministic across processes.
+        Cost is the region's node buckets plus, per endpoint pair, the
+        smaller of its two node buckets (``&`` iterates the smaller set) —
+        independent of the store size.  Key order keeps downstream iteration
+        (violation queueing) deterministic across processes.
         """
-        keys: set[tuple] = set()
         by_node = self._by_node
-        for node_id in node_ids:
-            bucket = by_node.get(node_id)
-            if bucket:
-                keys.update(bucket)
-        by_edge = self._by_edge
-        for edge_id in edge_ids:
-            bucket = by_edge.get(edge_id)
-            if bucket:
-                keys.update(bucket)
+        keys: set[tuple] = set()
+        for node_id in region.nodes:
+            keys.update(by_node.get(node_id, ()))
+        for source, target in region.pairs:
+            source_keys = by_node.get(source)
+            target_keys = by_node.get(target)
+            if source_keys and target_keys:
+                keys.update(source_keys & target_keys)
         matches = self.matches
         return [matches[key] for key in sorted(keys)]
 
     def check_integrity(self) -> bool:
         """Verify the inverted index exactly mirrors the stored matches
         (test/debug helper; O(store size))."""
-        expected_nodes: dict[str, set[tuple]] = {}
-        expected_edges: dict[str, set[tuple]] = {}
+        expected: dict[str, set[tuple]] = {}
         for key, match in self.matches.items():
             for node_id in match.node_bindings.values():
-                expected_nodes.setdefault(node_id, set()).add(key)
-            for edge_id in match.edge_bindings.values():
-                expected_edges.setdefault(edge_id, set()).add(key)
-        return expected_nodes == self._by_node and expected_edges == self._by_edge
+                expected.setdefault(node_id, set()).add(key)
+        return expected == self._by_node
 
     def __len__(self) -> int:
         return len(self.matches)
@@ -152,8 +250,8 @@ class IncrementalUpdate:
     """The outcome of applying one delta to a match store.
 
     ``invalidation_checked`` counts the stored matches re-verified during
-    invalidation — with the inverted index this is the number of matches
-    overlapping the delta, which the O(delta) regression tests assert on.
+    invalidation: the matches inside the delta's :class:`DeltaRegion`, which
+    the delta-locality regression tests assert on.
     """
 
     invalidated: list[Match] = field(default_factory=list)
@@ -172,10 +270,9 @@ class IncrementalMatcher:
         self.use_decomposition = use_decomposition
         self.use_cost_planner = use_cost_planner
         self._stores: dict[str, MatchStore] = {}
-        # pre-filtered registration-time subset: stores whose rule has
-        # incompleteness semantics, so the subtractive-delta recheck never
-        # iterates (or even label-checks) the other stores
-        self._incompleteness_stores: dict[str, MatchStore] = {}
+        # the evidence stores of incompleteness rules with their missing
+        # patterns' footprints: the only stores the recheck looks at
+        self._missing: dict[str, _MissingFootprint] = {}
         self._engine = VF2Matcher(graph=graph, candidate_index=candidate_index,
                                   use_decomposition=use_decomposition,
                                   use_cost_planner=use_cost_planner)
@@ -194,13 +291,12 @@ class IncrementalMatcher:
     # ------------------------------------------------------------------
 
     def register(self, pattern: Pattern, enumerate_now: bool = True,
-                 limit: int | None = None, incompleteness: bool = False) -> MatchStore:
+                 limit: int | None = None, missing: Pattern | None = None) -> MatchStore:
         """Register a pattern and (by default) enumerate its initial matches.
 
-        ``incompleteness=True`` marks the pattern as the evidence of an
-        incompleteness-semantics rule: its store is additionally kept in a
-        pre-filtered list (:meth:`incompleteness_stores`) that the repairers'
-        post-delta recheck iterates instead of scanning every store.
+        ``missing`` marks the pattern as the evidence of an incompleteness
+        rule with that missing pattern: :meth:`recheck_candidates` then
+        covers its store.
 
         Registration pre-warms the candidate index's value buckets for the
         pattern's constant-equality pushdowns, so neither the initial
@@ -211,10 +307,10 @@ class IncrementalMatcher:
             self.candidate_index.pushdowns(pattern)
         store = MatchStore(pattern=pattern)
         self._stores[pattern.name] = store
-        if incompleteness:
-            self._incompleteness_stores[pattern.name] = store
+        if missing is not None:
+            self._missing[pattern.name] = _MissingFootprint.of(pattern, missing)
         else:
-            self._incompleteness_stores.pop(pattern.name, None)
+            self._missing.pop(pattern.name, None)
         if enumerate_now:
             for match in self._engine.iter_matches(pattern, limit=limit):
                 store.add(match)
@@ -225,11 +321,6 @@ class IncrementalMatcher:
 
     def stores(self) -> list[MatchStore]:
         return list(self._stores.values())
-
-    def incompleteness_stores(self) -> list[MatchStore]:
-        """Only the stores registered with ``incompleteness=True`` (the
-        subtractive-delta recheck set)."""
-        return list(self._incompleteness_stores.values())
 
     def total_matches(self) -> int:
         return sum(len(store) for store in self._stores.values())
@@ -250,24 +341,53 @@ class IncrementalMatcher:
         self._engine.stats.maintenance_passes += 1
         target_stores = ([self._stores[name] for name in patterns]
                          if patterns is not None else list(self._stores.values()))
+        region = DeltaRegion.of(delta.changes)
         updates: dict[str, IncrementalUpdate] = {}
         for store in target_stores:
-            updates[store.pattern.name] = self._update_store(store, delta)
+            updates[store.pattern.name] = self._update_store(store, delta, region)
         return updates
 
-    def _update_store(self, store: MatchStore, delta: GraphDelta) -> IncrementalUpdate:
-        update = IncrementalUpdate()
-        removed_nodes = delta.removed_node_ids
-        removed_edges = delta.removed_edge_ids
-        touched = delta.touched_nodes
+    def recheck_candidates(self, delta: GraphDelta) -> list[tuple[str, list[Match]]]:
+        """Per incompleteness store (registration order), the stored matches
+        whose missing-pattern extension ``delta`` may have removed, in match-key
+        order.
 
-        # 1. Invalidation: re-verify only the matches overlapping the affected
-        #    region, found through the store's inverted element→match index.
-        overlapping = store.matches_touching(node_ids=removed_nodes | touched,
-                                             edge_ids=removed_edges)
-        update.invalidation_checked = len(overlapping)
-        for match in overlapping:
-            if not match.is_valid(self.graph):
+        Only subtractive changes remove extensions.  A missing pattern over
+        evidence variables only is checked inside the bound nodes, so its
+        candidates are the :class:`DeltaRegion` of those changes, minus edge
+        changes whose label (before the change) it does not read.  A missing
+        pattern with variables of its own may run through other nodes: a
+        subtractive change to an element with a label it reads sends the
+        whole store.
+        """
+        graph = self.graph
+        changes = [(change, _labels_before(graph, change))
+                   for change in delta.changes if change.is_subtractive]
+        candidates: list[tuple[str, list[Match]]] = []
+        for name, footprint in self._missing.items():
+            store = self._stores[name]
+            if footprint.reaches_outside(changes):
+                matches = store.matches
+                candidates.append((name, [matches[key] for key in sorted(matches)]))
+                continue
+            region = DeltaRegion.of(
+                change for change, labels in changes
+                if change.kind not in _EDGE_KINDS
+                or _reads(footprint.edge_labels, labels))
+            candidates.append((name, store.matches_in(region)))
+        return candidates
+
+    def _update_store(self, store: MatchStore, delta: GraphDelta,
+                      region: DeltaRegion) -> IncrementalUpdate:
+        update = IncrementalUpdate()
+
+        # 1. Invalidation: re-verify only the matches inside the delta's
+        #    region, found through the store's inverted node→match index.
+        affected = store.matches_in(region)
+        update.invalidation_checked = len(affected)
+        graph = self.graph
+        for match in affected:
+            if not match.is_valid(graph):
                 store.discard(match)
                 update.invalidated.append(match)
 
@@ -384,6 +504,4 @@ class IncrementalMatcher:
         for match in self._engine.iter_matches(store.pattern):
             fresh.add(match)
         self._stores[pattern_name] = fresh
-        if pattern_name in self._incompleteness_stores:
-            self._incompleteness_stores[pattern_name] = fresh
         return fresh

@@ -12,10 +12,14 @@ its per-round full re-matching:
   only matches overlapping the affected region are invalidated or discovered,
   via seeded searches from the touched nodes;
 * repairs that *delete* structure additionally re-check stored evidence
-  matches of incompleteness rules in the affected region, because deleting a
-  previously-present extension can turn an existing match into a new
-  violation.  (The maintainer keeps a pre-filtered list of incompleteness
-  stores, so this recheck never touches the other rules' stores at all.)
+  matches of incompleteness rules, because deleting a previously-present
+  extension can turn an existing match into a new violation.  The maintainer
+  names the candidates
+  (:meth:`~repro.matching.incremental.IncrementalMatcher.recheck_candidates`):
+  only the matches a subtractive change can reach through the missing
+  pattern, with edge changes filtered by the labels the missing pattern
+  reads, and the whole store when the missing pattern has variables of its
+  own.
 
 The state behind the algorithm — index, match stores, violation queue,
 extension prober — lives in :class:`FastRepairCore`, which is shared between
@@ -67,7 +71,6 @@ from repro.repair.executor import ExecutionOutcome, RepairExecutor
 from repro.repair.report import RepairReport
 from repro.repair.violation import Violation, ViolationStatus, sort_key
 from repro.rules.grr import GraphRepairingRule, RuleSet
-from repro.rules.semantics import Semantics
 
 
 @dataclass
@@ -208,8 +211,7 @@ class FastRepairCore:
                 self.rules_by_pattern[rule.pattern.name] = rule
                 self.incremental.register(
                     rule.pattern, enumerate_now=True,
-                    limit=config.match_limit_per_rule,
-                    incompleteness=rule.semantics is Semantics.INCOMPLETENESS)
+                    limit=config.match_limit_per_rule, missing=rule.missing)
             for store in self.incremental.stores():
                 rule = self.rules_by_pattern[store.pattern.name]
                 for match in store:
@@ -353,17 +355,12 @@ class FastRepairCore:
 
             # Deletions can turn existing incompleteness matches into
             # violations: their required extension may just have disappeared.
-            # The maintainer's pre-filtered incompleteness-store list plus the
-            # stores' inverted element→match index narrow the recheck to
-            # exactly the incompleteness-rule matches overlapping the delta.
             if delta.has_subtractive_effect:
-                touched = delta.touched_nodes
-                removed_edges = delta.removed_edge_ids
                 with self.report.timings.measure("incompleteness-recheck"):
-                    for store in self.incremental.incompleteness_stores():
-                        rule = self.rules_by_pattern[store.pattern.name]
-                        for match in store.matches_touching(
-                                node_ids=touched, edge_ids=removed_edges):
+                    recheck = self.incremental.recheck_candidates(delta)
+                    for pattern_name, candidates in recheck:
+                        rule = self.rules_by_pattern[pattern_name]
+                        for match in candidates:
                             event.rechecked += 1
                             if rule.is_violation(self.checker, match):
                                 if self.push(Violation(rule=rule, match=match),

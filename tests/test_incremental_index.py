@@ -4,8 +4,12 @@ Covers:
 
 * the inverted index in :class:`MatchStore` (lookup correctness + integrity
   under randomized mutation sequences on all three dataset generators);
-* the O(matches touching the delta) invalidation bound, asserted with the
-  ``invalidation_checked`` counter rather than timing;
+* the delta-region invalidation bound, asserted with the
+  ``invalidation_checked`` counter rather than timing, and the matching
+  narrowing of the incompleteness recheck;
+* recheck soundness: a :class:`FastRepairCore` driven through random
+  committed edits queues every violation, including those reached only
+  through a missing pattern's own variables;
 * the ``pattern_requirements`` regression: parallel variable-less pattern
   edges between the same variable pair must not over-prune;
 * matcher statistics flowing from incremental maintenance and extension
@@ -20,11 +24,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import RepairConfig, RepairSession
 from repro.datasets.registry import build_workload, load_dataset
 from repro.datasets.rulegen import RuleGenConfig, generate_rules
 from repro.graph import ChangeRecorder, PropertyGraph
+from repro.graph.statistics import label_pair_histogram
 from repro.matching import (
     CandidateIndex,
+    DeltaRegion,
     IncrementalMatcher,
     Pattern,
     PatternEdge,
@@ -33,7 +40,13 @@ from repro.matching import (
     naive_candidates,
     pattern_requirements,
 )
+from repro.matching.predicates import exists, ne
 from repro.repair.engine import EngineConfig, RepairEngine
+from repro.repair.fast import FastRepairCore
+from repro.repair.violation import Violation
+from repro.rules.builder import incompleteness_rule
+from repro.rules.grr import RuleSet
+from repro.rules.library import knowledge_graph_rules
 
 DOMAINS = ("kg", "movies", "social")
 
@@ -70,6 +83,29 @@ def _random_mutation(graph: PropertyGraph, rng: random.Random) -> bool:
     return True
 
 
+def _open_rule(graph: PropertyGraph):
+    """An incompleteness rule whose missing pattern has a variable of its own:
+    every source of the graph's most common edge triple keeps such an edge to
+    a target not named ``X`` (a name the random updates set)."""
+    histogram = label_pair_histogram(graph)
+    source, label, target = max(sorted(histogram), key=histogram.__getitem__)
+    return (incompleteness_rule("keeps-an-edge")
+            .node("x", source)
+            .missing_node("y", target, [ne("name", "X")])
+            .missing_edge("x", "y", label)
+            .add_node("z", target).add_edge("x", "z", label)
+            .build())
+
+
+def _assert_stores_equal_recompute(incremental: IncrementalMatcher,
+                                   graph: PropertyGraph, index) -> None:
+    oracle = VF2Matcher(graph=graph, candidate_index=index)
+    for store in incremental.stores():
+        expected = {m.key() for m in oracle.find_matches(store.pattern)}
+        assert {m.key() for m in store} == expected
+        assert store.check_integrity()
+
+
 class TestInvertedIndexEqualsRecompute:
     """apply_delta with the inverted index must produce store contents
     identical to a from-scratch re-enumeration, across randomized repair-like
@@ -97,11 +133,47 @@ class TestInvertedIndexEqualsRecompute:
             mutations += 1
             incremental.apply_delta(recorder.drain())
             if mutations % 5 == 0:
-                oracle = VF2Matcher(graph=graph, candidate_index=index)
-                for store in incremental.stores():
-                    expected = {m.key() for m in oracle.find_matches(store.pattern)}
-                    assert {m.key() for m in store} == expected
-                    assert store.check_integrity()
+                _assert_stores_equal_recompute(incremental, graph, index)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("rule_source", ["rulegen", "library"])
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_fast_core_queues_every_violation(self, domain, rule_source, seed):
+        """The same sequences committed to a FastRepairCore: after every
+        maintenance pass each stored match that violates its rule must be
+        queued (pushing it again is a no-op), so the narrowed recheck
+        misses nothing.  A rule with a missing-only variable is added to
+        cover the whole-store fallback."""
+        rng = random.Random(seed)
+        instance = load_dataset(domain, scale=50, seed=seed)
+        graph = instance.clean
+        rules = (generate_rules(graph, RuleGenConfig(num_rules=5, seed=seed))
+                 if rule_source == "rulegen" else instance.rules)
+        rules = RuleSet([*rules, _open_rule(graph)])
+
+        core = FastRepairCore(graph, rules)
+        recorder = ChangeRecorder()
+        graph.add_listener(recorder)
+        rechecked = 0
+        mutations = 0
+        try:
+            while mutations < 25:
+                if not _random_mutation(graph, rng):
+                    continue
+                mutations += 1
+                delta = recorder.drain()
+                rechecked += core.maintain(delta, source="commit").rechecked
+                for store in core.incremental.stores():
+                    rule = core.rules_by_pattern[store.pattern.name]
+                    for match in store:
+                        if rule.is_violation(core.checker, match):
+                            assert not core.push(Violation(rule=rule, match=match)), \
+                                f"{rule.name} violation at {match} was not queued"
+                if mutations % 5 == 0:
+                    _assert_stores_equal_recompute(core.incremental, graph, core.index)
+        finally:
+            core.close()
+        assert rechecked > 0
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            mutation_count=st.integers(min_value=5, max_value=30))
@@ -137,17 +209,35 @@ class TestInvertedIndexEqualsRecompute:
                 fresh.value_bucket("Person", "name", name)
         index.detach()
 
-    def test_matches_touching_equals_linear_scan(self, tiny_kg, duplicate_person_pattern):
+    def test_region_query_equals_linear_scan(self, tiny_kg, duplicate_person_pattern):
         graph = tiny_kg.copy()
         incremental = IncrementalMatcher(graph)
-        store = incremental.register(duplicate_person_pattern)
-        assert len(store) > 0
-        all_node_ids = set(graph.node_ids())
-        for node_id in all_node_ids:
-            via_index = {m.key() for m in store.matches_touching(node_ids={node_id})}
-            via_scan = {m.key() for m in store if m.touches(node_ids={node_id})}
-            assert via_index == via_scan
-        assert store.check_integrity()
+        lives = Pattern(nodes=[PatternNode("p", "Person"), PatternNode("c", "City")],
+                        edges=[PatternEdge("p", "c", "livesIn", variable="e")],
+                        name="lives")
+        node_ids = sorted(graph.node_ids())
+        for pattern in (duplicate_person_pattern, lives):
+            store = incremental.register(pattern)
+            assert len(store) > 0
+            for node_id in node_ids:
+                via_index = store.matches_in(DeltaRegion(nodes={node_id}))
+                via_scan = [m for m in store if m.touches(node_ids={node_id})]
+                assert [m.key() for m in via_index] == sorted(m.key() for m in via_scan)
+                for other in node_ids:
+                    via_index = store.matches_in(DeltaRegion(pairs={(node_id, other)}))
+                    via_scan = [m for m in store
+                                if {node_id, other} <= m.bound_node_ids()]
+                    assert [m.key() for m in via_index] == \
+                        sorted(m.key() for m in via_scan)
+            # a match binding an edge binds both its endpoints, so the pair
+            # region of an edge covers every match binding it
+            for edge in graph.edges():
+                via_index = store.matches_in(
+                    DeltaRegion(pairs={(edge.source, edge.target)}))
+                binding = {m.key() for m in store if m.touches(edge_ids={edge.id})}
+                assert binding <= {m.key() for m in via_index}
+            assert store.check_integrity()
+        assert any(m.edge_bindings for m in incremental.store("lives"))
 
 
 class TestInvalidationIsDeltaLocal:
@@ -211,6 +301,125 @@ class TestInvalidationIsDeltaLocal:
         # No stored match binds the two organizations.
         assert update.invalidation_checked == 0
         assert update.invalidated == []
+
+    def test_hub_edge_checks_only_matches_binding_both_endpoints(self):
+        pattern = Pattern(
+            nodes=[PatternNode("a", "Person"), PatternNode("b", "Person"),
+                   PatternNode("c", "City")],
+            edges=[PatternEdge("a", "c", "bornIn"), PatternEdge("b", "c", "bornIn")],
+            name="dup-pair")
+        graph = PropertyGraph(name="hub")
+        hub = graph.add_node("City", {"name": "hub"})
+        people = [graph.add_node("Person", {"name": f"p{i}"}) for i in range(12)]
+        for person in people:
+            graph.add_edge(person.id, hub.id, "bornIn")
+        index = CandidateIndex(graph)
+        index.attach()
+        incremental = IncrementalMatcher(graph, candidate_index=index)
+        store = incremental.register(pattern)
+        assert len(store) == 12 * 11  # every ordered pair binds the hub
+
+        recorder = ChangeRecorder()
+        graph.add_listener(recorder)
+        graph.add_edge(people[0].id, hub.id, "livesIn")
+        update = incremental.apply_delta(recorder.drain())[pattern.name]
+        # only the matches binding person 0 (as ``a`` or ``b``) and the hub
+        assert update.invalidation_checked == 2 * 11
+        assert update.invalidated == []
+        assert len(store) == 12 * 11
+        assert store.check_integrity()
+
+    def _nationality_graph(self) -> tuple[PropertyGraph, dict[str, str]]:
+        graph = PropertyGraph(name="one-person")
+        person = graph.add_node("Person", {"name": "ada"})
+        city = graph.add_node("City", {"name": "turin"})
+        country = graph.add_node("Country", {"name": "italy"})
+        graph.add_edge(person.id, city.id, "bornIn")
+        graph.add_edge(city.id, country.id, "inCountry")
+        nationality = graph.add_edge(person.id, country.id, "nationality")
+        lives = graph.add_edge(person.id, city.id, "livesIn")
+        return graph, {"nationality": nationality.id, "livesIn": lives.id}
+
+    def test_removed_edge_no_missing_pattern_reads_rechecks_nothing(self):
+        graph, edges = self._nationality_graph()
+        with RepairSession(graph, knowledge_graph_rules()) as session:
+            assert session.repair().remaining_violations == 0
+            result = session.apply(lambda g: g.remove_edge(edges["livesIn"]))
+        assert result.maintenance.rechecked == 0
+        assert result.discovered == 0
+
+    def test_removed_edge_the_missing_pattern_reads_is_rechecked(self):
+        graph, edges = self._nationality_graph()
+        with RepairSession(graph, knowledge_graph_rules()) as session:
+            assert session.repair().remaining_violations == 0
+            result = session.apply(lambda g: g.remove_edge(edges["nationality"]))
+            assert result.maintenance.rechecked == 1
+            assert result.discovered == 1
+            assert session.repair().remaining_violations == 0
+
+
+class TestRecheckThroughMissingOnlyVariables:
+    """A missing pattern with variables of its own reaches nodes the evidence
+    match does not bind; a subtractive edit there must still queue the
+    violation, so fast repairs exactly what naive repairs."""
+
+    @staticmethod
+    def _repair_after(rule, build, edit):
+        outcomes = []
+        for config in (RepairConfig.fast(), RepairConfig.naive()):
+            graph, ids = build()
+            with RepairSession(graph, RuleSet([rule]), config=config) as session:
+                assert session.repair().remaining_violations == 0
+                session.apply(lambda g: edit(g, ids))
+                report = session.repair()
+            outcomes.append((graph, report))
+        (fast_graph, fast), (naive_graph, naive) = outcomes
+        assert naive.reached_fixpoint and naive.repairs_applied == 1
+        assert fast.remaining_violations == 0 and fast.reached_fixpoint
+        assert fast.repairs_applied == naive.repairs_applied
+        assert fast_graph.structurally_equal(naive_graph)
+
+    def test_property_removed_from_the_witness_node(self):
+        rule = (incompleteness_rule("works-for-active")
+                .node("p", "Person")
+                .missing_node("o", "Org", [exists("active")])
+                .missing_edge("p", "o", "worksFor")
+                .add_node("n", "Org", {"active": True})
+                .add_edge("p", "n", "worksFor")
+                .build())
+
+        def build():
+            graph = PropertyGraph()
+            person = graph.add_node("Person", {"name": "ada"})
+            org = graph.add_node("Org", {"active": True})
+            graph.add_edge(person.id, org.id, "worksFor")
+            return graph, {"org": org.id}
+
+        self._repair_after(
+            rule, build,
+            lambda graph, ids: graph.update_node(ids["org"], remove_keys=["active"]))
+
+    def test_second_edge_of_a_two_edge_missing_pattern_removed(self):
+        rule = (incompleteness_rule("works-for-based")
+                .node("p", "Person")
+                .missing_node("o", "Org").missing_node("k", "Country")
+                .missing_edge("p", "o", "worksFor")
+                .missing_edge("o", "k", "basedIn")
+                .add_node("n", "Org").add_node("m", "Country")
+                .add_edge("p", "n", "worksFor").add_edge("n", "m", "basedIn")
+                .build())
+
+        def build():
+            graph = PropertyGraph()
+            person = graph.add_node("Person", {"name": "ada"})
+            org = graph.add_node("Org")
+            country = graph.add_node("Country")
+            graph.add_edge(person.id, org.id, "worksFor")
+            based = graph.add_edge(org.id, country.id, "basedIn")
+            return graph, {"basedIn": based.id}
+
+        self._repair_after(
+            rule, build, lambda graph, ids: graph.remove_edge(ids["basedIn"]))
 
 
 class TestPatternRequirementsRegression:
