@@ -46,9 +46,10 @@ many named sessions concurrently over a shared warm pool
 (``docs/SERVICE.md``), and the ingestion front (``from repro.ingest
 import IngestFront, AsyncRepairService``) adds bounded edit queues,
 admission control, a background repair scheduler, and an asyncio facade
-on top (``docs/INGEST.md``).
-The legacy one-shot helpers (``repair_graph``, ``RepairEngine``) remain as
-deprecation shims over the session — see ``docs/MIGRATION.md``.
+on top (``docs/INGEST.md``).  For a one-shot repair,
+``repair_copy(graph, rules, config)`` repairs a copy through a short-lived
+session.  ``docs/MIGRATION.md`` lists the removed legacy entry points and
+their replacements.
 
 The most frequently used names are re-exported here; each subpackage
 (`repro.api`, `repro.graph`, `repro.matching`, `repro.rules`,
@@ -66,7 +67,6 @@ from repro.api import (
     Repairer,
     RepairSession,
     SessionEvents,
-    open_session,
     repair_copy,
 )
 from repro.datasets import build_workload, generate_rules, load_dataset
@@ -74,13 +74,7 @@ from repro.errors import ErrorInjector, ErrorProfile, inject_errors
 from repro.graph import PropertyGraph
 from repro.matching import Matcher, MatcherConfig, Pattern, PatternEdge, PatternNode
 from repro.metrics import change_summary, repair_quality
-from repro.repair import (
-    EngineConfig,
-    RepairEngine,
-    RepairReport,
-    detect_violations,
-    repair_graph,
-)
+from repro.repair import RepairReport, detect_violations
 from repro.rules import (
     GraphRepairingRule,
     RuleBuilder,
@@ -101,7 +95,6 @@ __all__ = [
     "__version__",
     # session API (primary entry point)
     "RepairSession",
-    "open_session",
     "repair_copy",
     "RepairConfig",
     "Repairer",
@@ -136,11 +129,8 @@ __all__ = [
     "check_consistency",
     "analyze_termination",
     "analyze_redundancy",
-    # repair (legacy one-shot facade)
-    "RepairEngine",
-    "EngineConfig",
+    # repair
     "RepairReport",
-    "repair_graph",
     "detect_violations",
     # errors & datasets
     "ErrorProfile",

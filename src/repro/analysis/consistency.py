@@ -106,12 +106,13 @@ def _sufficient_conditions(rules: RuleSet,
 def _exact_check(rules: RuleSet, base: ConsistencyReport,
                  max_repairs_per_witness: int) -> ConsistencyReport:
     """Bounded chase on every rule's canonical witness graph."""
-    from repro.repair.fast import FastRepairConfig, FastRepairer
+    from repro.repair.config import RepairConfig
+    from repro.repair.fast import FastRepairer
 
     non_converging: list[str] = []
     for rule in rules:
         witness = witness_for_rule(rule)
-        repairer = FastRepairer(FastRepairConfig(max_repairs=max_repairs_per_witness))
+        repairer = FastRepairer(RepairConfig(max_repairs=max_repairs_per_witness))
         report = repairer.repair(witness, rules)
         if not report.reached_fixpoint:
             non_converging.append(rule.name)

@@ -63,7 +63,8 @@ def is_rule_redundant(rule: GraphRepairingRule, rules: RuleSet,
                       max_repairs: int = 100) -> ImplicationResult:
     """Witness-based redundancy check of one rule against the rest of the set."""
     from repro.repair.detector import detect_violations
-    from repro.repair.fast import FastRepairConfig, FastRepairer
+    from repro.repair.config import RepairConfig
+    from repro.repair.fast import FastRepairer
 
     others = RuleSet((other for other in rules if other.name != rule.name),
                      name=f"{rules.name}-minus-{rule.name}")
@@ -76,7 +77,7 @@ def is_rule_redundant(rule: GraphRepairingRule, rules: RuleSet,
                                  remaining_violations_after_others=remaining,
                                  repairs_by_others=0)
 
-    repairer = FastRepairer(FastRepairConfig(max_repairs=max_repairs))
+    repairer = FastRepairer(RepairConfig(max_repairs=max_repairs))
     report = repairer.repair(witness, others)
     remaining = len(detect_violations(witness, single))
     return ImplicationResult(rule_name=rule.name,

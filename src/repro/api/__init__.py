@@ -5,11 +5,13 @@ a rule set, keep matcher state alive across successive edits, stage / commit /
 roll back transactions with batched delta maintenance, and stream progress
 through :class:`SessionEvents`.  Behind the session sits the
 :class:`Repairer` protocol (plan/apply/maintain lifecycle) with three bundled
-backends — fast, naive, greedy — selected by the unified, builder-style
-:class:`RepairConfig`.
+backends — fast, naive, greedy — plus the lazily loaded sharded one, selected
+by the builder-style :class:`RepairConfig` (defined in
+:mod:`repro.repair.config`, re-exported here).  :func:`repair_copy` is the
+one-shot form: it repairs a copy through a short-lived session.
 
-See ``docs/MIGRATION.md`` for the mapping from the legacy one-shot entry
-points (``repair_graph`` / ``RepairEngine`` / per-algorithm configs).
+``docs/MIGRATION.md`` lists the removed legacy entry points and their
+replacements.
 """
 
 from repro.api.backend import (
@@ -21,21 +23,19 @@ from repro.api.backend import (
     build_backend,
     register_backend,
 )
-from repro.api.config import BACKENDS, RepairConfig
 from repro.api.events import (
     CommitResult,
     CommittedDelta,
     MaintenanceEvent,
     SessionEvents,
 )
-from repro.api.session import RepairSession, open_session, repair_copy
+from repro.api.session import RepairSession, repair_copy
+from repro.repair.config import RepairConfig
 
 __all__ = [
     "RepairSession",
-    "open_session",
     "repair_copy",
     "RepairConfig",
-    "BACKENDS",
     "Repairer",
     "FastBackend",
     "NaiveBackend",

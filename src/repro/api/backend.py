@@ -95,8 +95,7 @@ class FastBackend:
         self.core: FastRepairCore | None = None
 
     def bind(self, graph: PropertyGraph, rules: RuleSet) -> None:
-        self.core = FastRepairCore(graph, rules,
-                                   config=self.config.to_fast_config(),
+        self.core = FastRepairCore(graph, rules, config=self.config,
                                    events=self.events)
 
     def plan(self) -> list[Violation]:
@@ -188,8 +187,7 @@ class NaiveBackend(_ReDetectionBackend):
         return self._executor.apply(violation.rule, violation.match)
 
     def run(self) -> RepairReport:
-        repairer = NaiveRepairer(self.config.to_naive_config(),
-                                 events=self.events)
+        repairer = NaiveRepairer(self.config, events=self.events)
         report = repairer.repair(self.graph, self.rules)
         self._stats.merge(report.matching_stats)
         return report
@@ -207,12 +205,9 @@ class GreedyBackend(_ReDetectionBackend):
         super().bind(graph, rules)
         # every greedy repair is one deletion, so the shared max_repairs
         # budget caps deletions exactly like the other backends' repairs
-        limits = [limit for limit in (self.config.max_deletions,
-                                      self.config.max_repairs)
-                  if limit is not None]
         self._baseline = GreedyDeleteBaseline(
             GreedyConfig(max_rounds=self.config.max_rounds,
-                         max_deletions=min(limits) if limits else None))
+                         max_deletions=self.config.max_repairs))
 
     def apply(self, violation: Violation) -> ExecutionOutcome:
         """Greedy repair of one violation: delete one involved edge."""
@@ -261,8 +256,6 @@ _BACKENDS: dict[str, type] = {
     "fast": FastBackend,
     "naive": NaiveBackend,
     "greedy": GreedyBackend,
-    # the legacy baseline's public name, for symmetry with the harness
-    "greedy-delete": GreedyBackend,
 }
 
 # Backends resolved on first use, keeping heavyweight subsystems out of the
@@ -304,8 +297,8 @@ def _resolve_backend(name: str) -> type:
 def build_backend(config, events=None, pool=None):
     """Instantiate the backend the config names (without binding it).
 
-    Mirrors the legacy engine's degradation rule: a ``"fast"`` backend with
-    ``use_incremental=False`` is the naive loop with an optimised matcher.
+    A ``"fast"`` backend with ``use_incremental=False`` degrades to the
+    naive loop with an optimised matcher (the E5 "incremental" ablation).
 
     ``pool`` is an optional shared :class:`repro.parallel.pool.WorkerPool`
     for backends that keep workers warm across repair calls (the sharded

@@ -79,7 +79,7 @@ from repro.repair.report import RepairReport
 from repro.repair.violation import Violation
 from repro.rules.grr import GraphRepairingRule, RuleSet
 from repro.api.backend import Repairer, build_backend
-from repro.api.config import RepairConfig
+from repro.repair.config import RepairConfig
 from repro.api.events import (
     CommitResult,
     CommittedDelta,
@@ -126,8 +126,13 @@ class RepairSession:
                  pool=None) -> None:
         self.graph = graph
         self.rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
-        self.config = RepairConfig.from_legacy(config) if config is not None \
-            else RepairConfig.fast()
+        if config is None:
+            config = RepairConfig.fast()
+        elif not isinstance(config, RepairConfig):
+            raise TypeError(f"config must be a RepairConfig, not "
+                            f"{type(config).__name__}; docs/MIGRATION.md "
+                            "lists the removed legacy configs")
+        self.config = config
         self.events = events
         if self.config.check_consistency or self.config.require_consistency:
             _consistency_gate(self.rules, self.config.require_consistency)
@@ -522,35 +527,11 @@ def repair_copy(graph: PropertyGraph,
     """One-shot convenience: repair a copy of ``graph`` through a short-lived
     session; returns ``(repaired copy, report)``.
 
-    The non-deprecated replacement for the ``repair_graph`` shim, and the
-    idiom every harness/benchmark call site shares.  For anything long-lived
-    (successive edits, transactions, streaming) open a
+    The idiom every harness/benchmark call site shares.  For anything
+    long-lived (successive edits, transactions, streaming) open a
     :class:`RepairSession` directly.
     """
     repaired = graph.copy(name=f"{graph.name}-repaired")
     with RepairSession(repaired, rules, config=config, events=events) as session:
         report = session.repair()
     return repaired, report
-
-
-def open_session(graph: PropertyGraph,
-                 rules: RuleSet | list[GraphRepairingRule],
-                 backend: str = "fast",
-                 events: SessionEvents | None = None,
-                 **config_overrides) -> RepairSession:
-    """Convenience constructor: ``open_session(graph, rules, "fast", ...)``.
-
-    ``backend`` picks the config preset (``"fast"`` / ``"naive"`` /
-    ``"greedy"``); keyword overrides are applied on top of it.
-    """
-    presets = {"fast": RepairConfig.fast, "naive": RepairConfig.naive,
-               "greedy": RepairConfig.baseline,
-               "greedy-delete": RepairConfig.baseline,
-               "sharded": RepairConfig.sharded}
-    try:
-        preset = presets[backend]
-    except KeyError:
-        raise ValueError(f"unknown backend {backend!r}; "
-                         f"available: {sorted(set(presets))}") from None
-    return RepairSession(graph, rules, config=preset(**config_overrides),
-                         events=events)

@@ -136,14 +136,6 @@ class RepairExecutionError(RepairError):
     """A repair operation failed to apply to the graph."""
 
 
-class RepairBudgetExceeded(RepairError):
-    """The repair loop hit its iteration or time budget before reaching a fixpoint."""
-
-    def __init__(self, message: str, iterations: int | None = None) -> None:
-        super().__init__(message)
-        self.iterations = iterations
-
-
 class SessionStateError(RepairError):
     """A :class:`~repro.api.RepairSession` operation is illegal in the
     session's current state (e.g. repairing with uncommitted staged edits,

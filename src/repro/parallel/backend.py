@@ -199,8 +199,7 @@ class ShardedRepairer:
     def bind(self, graph: PropertyGraph, rules: RuleSet) -> None:
         self._graph = graph
         self._rules = rules
-        self.core = FastRepairCore(graph, rules,
-                                   config=self.config.to_fast_config(),
+        self.core = FastRepairCore(graph, rules, config=self.config,
                                    events=self.events)
 
     def plan(self) -> list[Violation]:
@@ -332,19 +331,26 @@ class ShardedRepairer:
             telemetry.inc("repro_repair_fallbacks_total",
                           tenant=self._graph.name, reason=reason)
 
+    def _fan_out_viable(self) -> bool:
+        """The config's own verdict on fanning out (fixed for the backend's
+        life): more than one worker, and no ``max_repairs`` budget —
+        ``max_repairs`` caps the repairs of one run() call, and fanning out
+        would hand every worker (and the settle drain) an independent budget
+        and silently multiply the cap, so such runs stay on the single
+        sequential drain, whose budget accounting is exact."""
+        return self.config.workers > 1 and self.config.max_repairs is None
+
     def _should_fan_out(self) -> bool:
-        config = self.config
-        if config.workers <= 1 or (config.shard_count or config.workers) <= 1:
+        if not self._fan_out_viable():
             return False
-        if config.max_repairs is not None:
-            # max_repairs caps the repairs of one run() call; fanning out
-            # would hand every worker (and the settle drain) an independent
-            # budget and silently multiply the cap — degrade to the single
-            # sequential drain, whose budget accounting is exact
-            return False
-        if self._graph.num_nodes < config.min_partition_nodes:
+        if self._graph.num_nodes < self.config.min_partition_nodes:
             return False
         return self.core.has_pending()
+
+    def _partition(self) -> ShardPlan:
+        """One shard per worker, with a halo of the rule set's reach."""
+        return partition_graph(self._graph, self.config.workers,
+                               rule_radius(self._rules))
 
     # ------------------------------------------------------------------
     # the warm path
@@ -353,15 +359,12 @@ class ShardedRepairer:
     def _should_fan_out_warm(self) -> bool:
         if self._warm_degraded:
             return False
-        config = self.config
-        if config.workers <= 1 or (config.shard_count or config.workers) <= 1 \
-                or config.max_repairs is not None:
-            # same viability rules as the cold path (see _should_fan_out),
-            # but permanent: the config cannot change over a backend's life
+        if not self._fan_out_viable():
+            # permanent: the config cannot change over a backend's life
             self._warm_degraded = True
             return False
         if self._warm_plan is None \
-                and self._graph.num_nodes < config.min_partition_nodes:
+                and self._graph.num_nodes < self.config.min_partition_nodes:
             # too small to be worth partitioning; once replicas stand, they
             # keep serving even if the graph later shrinks below the floor
             self._warm_degraded = True
@@ -380,11 +383,7 @@ class ShardedRepairer:
     def _ensure_warm_plan(self) -> ShardPlan | None:
         if self._warm_plan is not None:
             return self._warm_plan
-        config = self.config
-        shard_count = config.shard_count or config.workers
-        radius = config.shard_radius if config.shard_radius is not None \
-            else rule_radius(self._rules)
-        plan = partition_graph(self._graph, shard_count, radius)
+        plan = self._partition()
         if len(plan) <= 1:
             # one shard would just serialise through a worker; stay on the
             # plain drain for the backend's lifetime
@@ -441,8 +440,7 @@ class ShardedRepairer:
         """
         tracker = next(t for t in self._replicas.values() if t.key == key)
         payload, core = self._rebind_payload(tracker, self._warm_plan.radius)
-        return (payload, tracker.namespace, core, self._rules,
-                self.config.to_fast_config())
+        return (payload, tracker.namespace, core, self._rules, self.config)
 
     def _fan_out_warm(self) -> None:
         config = self.config
@@ -489,7 +487,6 @@ class ShardedRepairer:
         for delta in self._unshipped:
             pending.extend(delta.changes)
         self._unshipped.clear()
-        worker_config = self.config.to_fast_config()
         ships: list[tuple[str, GraphDelta]] = []
         shipped_by_key: dict[str, "_ReplicaTracker"] = {}
         with self.core.report.timings.measure("shard-ship"):
@@ -535,7 +532,7 @@ class ShardedRepairer:
                                       shard=tracker.key)
                 payload, core = self._rebind_payload(tracker, plan.radius)
                 binds.append((tracker.key, payload, tracker.namespace,
-                              core, self._rules, worker_config))
+                              core, self._rules, self.config))
         with self.core.report.timings.measure("shard-bind"):
             pool.bind_all(binds)
         for tracker in self._replicas.values():
@@ -581,10 +578,7 @@ class ShardedRepairer:
 
     def _fan_out(self) -> None:
         config = self.config
-        shard_count = config.shard_count or config.workers
-        radius = config.shard_radius if config.shard_radius is not None \
-            else rule_radius(self._rules)
-        plan = partition_graph(self._graph, shard_count, radius)
+        plan = self._partition()
         if len(plan) <= 1:
             return
 
@@ -600,14 +594,13 @@ class ShardedRepairer:
                             mode="cold", shards=len(plan)):
             context = telemetry.current_context()
             with self.core.report.timings.measure("shard-extraction"):
-                worker_config = self.config.to_fast_config()
                 tasks = [
                     ShardTask(shard_index=shard.index,
                               graph_payload=shard_payload(shard.extract(self._graph)),
                               core=frozenset(shard.core),
                               namespace=shard.namespace,
                               rules=self._rules,
-                              config=worker_config,
+                              config=config,
                               telemetry_ctx=context)
                     for shard in plan.shards
                 ]

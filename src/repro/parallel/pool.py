@@ -86,6 +86,8 @@ from repro.exceptions import WorkerPoolError
 from repro.graph.delta import GraphDelta
 from repro.parallel.breaker import CircuitBreaker
 from repro.parallel.worker import ShardResult, ShardWorkerState
+from repro.repair.config import RepairConfig
+from repro.rules.grr import RuleSet
 from repro.telemetry.log import get_logger, log_event, warn_swallowed
 from repro.testing import faults as _faults
 
@@ -772,7 +774,8 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def bind(self, key: str, payload: dict, namespace: str,
-             core: frozenset[str], rules, config) -> None:
+             core: frozenset[str], rules: RuleSet,
+             config: RepairConfig) -> None:
         """Build (or rebuild) the standing replica for ``key`` (barrier)."""
         self.bind_all([(key, payload, namespace, core, rules, config)])
 

@@ -8,7 +8,7 @@ shard with no access to the coordinator's memory:
   :class:`~repro.graph.PropertyGraph` — no listeners, no shared indexes,
   nothing process-specific, safe for the ``spawn`` start method on every
   platform;
-* the pickled rule set and :class:`~repro.repair.fast.FastRepairConfig`
+* the pickled rule set and :class:`~repro.repair.config.RepairConfig`
   (both are declarative object trees — patterns, predicate dataclasses,
   cost models — with no callables, by design);
 * the shard's **core** node ids (ownership filter) and id **namespace**.
@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from repro.graph.delta import GraphDelta, apply_inverse, recording, replay_delta
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.property_graph import PropertyGraph
+from repro.repair.config import RepairConfig
 from repro.repair.fast import (
     AppliedRepair,
-    FastRepairConfig,
     FastRepairCore,
     make_ownership_filter,
     repair_shard,
@@ -57,7 +57,7 @@ class ShardTask:
     core: frozenset[str]
     namespace: str
     rules: RuleSet
-    config: FastRepairConfig
+    config: RepairConfig
     #: coordinator trace context (``{"trace_id", "span_id"}``) when telemetry
     #: is collecting; ``None`` keeps the worker's telemetry path allocation-free
     telemetry_ctx: dict | None = None
@@ -158,7 +158,7 @@ class ShardWorkerState:
     """
 
     def __init__(self, payload: dict, namespace: str, core: frozenset[str],
-                 rules: RuleSet, config: FastRepairConfig) -> None:
+                 rules: RuleSet, config: RepairConfig) -> None:
         self.graph = shard_from_payload(payload, namespace)
         self.namespace = namespace
         self.owned = frozenset(core)

@@ -1,20 +1,19 @@
-"""Repair algorithms: detection, planning, execution, provenance, and the
-naive / fast repairers behind the engine facade (system S5 in DESIGN.md)."""
+"""Repair algorithms: detection, planning, execution, provenance, the
+naive / fast repairers behind the session backends, and the
+:class:`RepairConfig` they all read (system S5 in DESIGN.md)."""
 
-from repro.repair.config import RepairKnobs
+from repro.repair.config import RepairConfig
 from repro.repair.cost import DEFAULT_COST_MODEL, CostModel
 from repro.repair.detector import DetectionResult, ViolationDetector, detect_violations
-from repro.repair.engine import EngineConfig, RepairEngine, repair_graph
 from repro.repair.events import MaintenanceEvent, RepairEvents
 from repro.repair.executor import ExecutionOutcome, RepairExecutor
 from repro.repair.fast import (
     AppliedRepair,
-    FastRepairConfig,
     FastRepairCore,
     FastRepairer,
     repair_shard,
 )
-from repro.repair.naive import NaiveRepairConfig, NaiveRepairer
+from repro.repair.naive import NaiveRepairer
 from repro.repair.provenance import RepairAction, RepairLog
 from repro.repair.report import RepairReport
 from repro.repair.violation import Violation, ViolationStatus
@@ -22,7 +21,7 @@ from repro.repair.violation import Violation, ViolationStatus
 __all__ = [
     "Violation",
     "ViolationStatus",
-    "RepairKnobs",
+    "RepairConfig",
     "RepairEvents",
     "MaintenanceEvent",
     "FastRepairCore",
@@ -37,12 +36,7 @@ __all__ = [
     "RepairLog",
     "RepairReport",
     "NaiveRepairer",
-    "NaiveRepairConfig",
     "FastRepairer",
-    "FastRepairConfig",
     "AppliedRepair",
     "repair_shard",
-    "RepairEngine",
-    "EngineConfig",
-    "repair_graph",
 ]

@@ -51,7 +51,6 @@ rule sets it guarantees the run ends and reports the leftover violations and
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import time
@@ -65,33 +64,12 @@ from repro.matching.incremental import IncrementalMatcher
 from repro.matching.index import CandidateIndex
 from repro.matching.pattern import Match, Pattern
 from repro.matching.vf2 import MatchingStats, VF2Matcher
-from repro.repair.config import RepairKnobs
+from repro.repair.config import RepairConfig
 from repro.repair.events import MaintenanceEvent
 from repro.repair.executor import ExecutionOutcome, RepairExecutor
 from repro.repair.report import RepairReport
 from repro.repair.violation import Violation, ViolationStatus, sort_key
 from repro.rules.grr import GraphRepairingRule, RuleSet
-
-
-@dataclass
-class FastRepairConfig(RepairKnobs):
-    """Optimisation switches and budgets of the fast algorithm.
-
-    Inherits the shared cost/ordering/budget knobs from
-    :class:`~repro.repair.config.RepairKnobs`.  ``batch_repairs`` switches the
-    queue drain to batched mode (independent violations repaired under one
-    merged maintenance pass); ``max_batch`` caps the batch size (None =
-    unbounded).
-    """
-
-    use_candidate_index: bool = True
-    # keyword-only below (see EngineConfig): the shared knobs moved to the
-    # base, so trailing positional binding would silently change meaning
-    __: dataclasses.KW_ONLY
-    use_decomposition: bool = True
-    use_cost_planner: bool = True
-    batch_repairs: bool = False
-    max_batch: int | None = None
 
 
 @dataclass
@@ -160,10 +138,10 @@ class FastRepairCore:
     """
 
     def __init__(self, graph: PropertyGraph, rules: RuleSet,
-                 config: FastRepairConfig | None = None, events=None) -> None:
+                 config: RepairConfig | None = None, events=None) -> None:
         self.graph = graph
         self.rules = rules
-        self.config = config or FastRepairConfig()
+        self.config = config or RepairConfig()
         self._on_violation = getattr(events, "on_violation", None)
         self._on_repair_applied = getattr(events, "on_repair_applied", None)
         self._on_maintenance = getattr(events, "on_maintenance", None)
@@ -572,8 +550,8 @@ class FastRepairer:
     """Queue-driven repair with incremental match maintenance (one-shot facade
     over :class:`FastRepairCore`)."""
 
-    def __init__(self, config: FastRepairConfig | None = None, events=None) -> None:
-        self.config = config or FastRepairConfig()
+    def __init__(self, config: RepairConfig | None = None, events=None) -> None:
+        self.config = config or RepairConfig()
         self.events = events
 
     def repair(self, graph: PropertyGraph, rules: RuleSet) -> RepairReport:
@@ -613,7 +591,7 @@ def make_ownership_filter(graph: PropertyGraph, owned: frozenset[str]):
 
 
 def repair_shard(graph: PropertyGraph, rules: RuleSet,
-                 config: FastRepairConfig | None = None,
+                 config: RepairConfig | None = None,
                  owned_nodes: frozenset[str] | set[str] | None = None,
                  ) -> tuple[list[AppliedRepair], RepairReport]:
     """The shard-executable entry point of the fast algorithm.

@@ -17,14 +17,11 @@ produce the same repair quality in E1/E4 — only the runtime differs.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from dataclasses import dataclass, field
 
-from repro.exceptions import RepairBudgetExceeded
 from repro.graph.property_graph import PropertyGraph
-from repro.matching.matcher import Matcher, MatcherConfig
-from repro.repair.config import RepairKnobs
+from repro.matching.matcher import Matcher
+from repro.repair.config import RepairConfig
 from repro.repair.detector import ViolationDetector
 from repro.repair.events import MaintenanceEvent
 from repro.repair.executor import RepairExecutor
@@ -33,32 +30,17 @@ from repro.repair.violation import Violation, ViolationStatus, sort_key
 from repro.rules.grr import RuleSet
 
 
-@dataclass
-class NaiveRepairConfig(RepairKnobs):
-    """Budgets and matching configuration of the naive algorithm.
-
-    Inherits the shared cost/ordering/budget knobs from
-    :class:`~repro.repair.config.RepairKnobs`.
-    """
-
-    matcher_config: MatcherConfig = field(default_factory=MatcherConfig.naive)
-    # keyword-only below (see EngineConfig): the shared knobs moved to the
-    # base, so trailing positional binding would silently change meaning
-    __: dataclasses.KW_ONLY
-    max_rounds: int = 100
-    raise_on_budget: bool = False
-
-
 class NaiveRepairer:
     """Fixpoint repair with full re-detection every round."""
 
-    def __init__(self, config: NaiveRepairConfig | None = None, events=None) -> None:
-        self.config = config or NaiveRepairConfig()
+    def __init__(self, config: RepairConfig | None = None, events=None) -> None:
+        self.config = config or RepairConfig.naive()
         self.events = events
 
     def repair(self, graph: PropertyGraph, rules: RuleSet) -> RepairReport:
         """Repair ``graph`` in place; returns the :class:`RepairReport`."""
         config = self.config
+        matcher_config = config.to_matcher_config()
         report = RepairReport(method="naive", graph_name=graph.name,
                               rule_set_name=rules.name,
                               initial_nodes=graph.num_nodes,
@@ -73,7 +55,7 @@ class NaiveRepairer:
 
         for round_index in range(config.max_rounds):
             report.rounds = round_index + 1
-            matcher = Matcher(graph, config.matcher_config)
+            matcher = Matcher(graph, matcher_config)
             detector = ViolationDetector(graph, rules, matcher=matcher,
                                          match_limit_per_rule=config.match_limit_per_rule)
             with report.timings.measure("detection"):
@@ -98,9 +80,11 @@ class NaiveRepairer:
             pending = [violation for violation in detection
                        if violation.key() not in failed_keys]
             if not pending:
-                report.reached_fixpoint = True
+                # only violations whose repair already failed are left: the
+                # loop is done, and it is a fixpoint only if none are
                 report.remaining_violations = sum(
                     1 for violation in detection if violation.key() in failed_keys)
+                report.reached_fixpoint = report.remaining_violations == 0
                 report.matching_stats.merge(matcher.stats)
                 matcher.close()
                 break
@@ -145,16 +129,11 @@ class NaiveRepairer:
                 report.remaining_violations = len(pending)
                 report.reached_fixpoint = False
                 break
-        else:
-            if config.raise_on_budget:
-                raise RepairBudgetExceeded(
-                    f"naive repair did not reach a fixpoint in {config.max_rounds} rounds",
-                    iterations=config.max_rounds)
 
         if not report.reached_fixpoint and report.remaining_violations == 0:
             # Budget ended the loop; count what is left with one last detection.
             with report.timings.measure("final-check"):
-                final_matcher = Matcher(graph, config.matcher_config)
+                final_matcher = Matcher(graph, matcher_config)
                 final_detection = ViolationDetector(
                     graph, rules, matcher=final_matcher,
                     match_limit_per_rule=config.match_limit_per_rule).detect()

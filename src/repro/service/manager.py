@@ -16,7 +16,7 @@ from typing import Iterator
 from repro.exceptions import ServiceError
 from repro.graph.property_graph import PropertyGraph
 from repro.rules.grr import GraphRepairingRule, RuleSet
-from repro.api.config import RepairConfig
+from repro.repair.config import RepairConfig
 from repro.api.events import SessionEvents
 from repro.api.session import RepairSession
 

@@ -39,7 +39,7 @@ from repro.graph.delta import GraphDelta
 from repro.graph.property_graph import PropertyGraph
 from repro.repair.report import RepairReport
 from repro.rules.grr import GraphRepairingRule, RuleSet
-from repro.api.config import RepairConfig
+from repro.repair.config import RepairConfig
 from repro.api.events import CommitResult, CommittedDelta, SessionEvents
 from repro.api.session import RepairSession
 from repro.durability import (

@@ -15,6 +15,12 @@ from repro.matching import Pattern, PatternEdge, PatternNode, same_value
 from repro.rules import knowledge_graph_rules
 
 
+def pytest_configure(config):
+    # a deprecated path must not creep back in: any DeprecationWarning fails
+    # the run instead of scrolling past in the warnings summary
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+
+
 @pytest.fixture
 def empty_graph() -> PropertyGraph:
     return PropertyGraph(name="empty")

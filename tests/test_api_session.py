@@ -1,5 +1,5 @@
 """Tests for the ``repro.api`` package: RepairSession, RepairConfig, the
-Repairer protocol, transactions, batching, events, and the legacy shims."""
+Repairer protocol, transactions, batching, and events."""
 
 from __future__ import annotations
 
@@ -18,20 +18,12 @@ from repro.api import (
     SessionEvents,
     available_backends,
     build_backend,
-    open_session,
     register_backend,
 )
 from repro.exceptions import SessionStateError
 from repro.graph import ChangeRecorder, GraphDelta, PropertyGraph
 from repro.matching.matcher import MatcherConfig
-from repro.repair import (
-    EngineConfig,
-    FastRepairConfig,
-    FastRepairer,
-    NaiveRepairConfig,
-    RepairEngine,
-    repair_graph,
-)
+from repro.repair import FastRepairer
 from repro.repair.cost import CostModel
 from repro.rules import knowledge_graph_rules
 
@@ -123,7 +115,7 @@ class TestRepairerProtocol:
 
 
 # ---------------------------------------------------------------------------
-# RepairConfig presets, builder, and the legacy-shim field mapping
+# RepairConfig presets and builder
 # ---------------------------------------------------------------------------
 
 
@@ -135,6 +127,9 @@ class TestRepairConfig:
         assert naive.backend == "naive" and not naive.use_candidate_index
         baseline = RepairConfig.baseline()
         assert baseline.backend == "greedy"
+        # the one remaining mapping: the re-detection loops' matcher config
+        assert fast.to_matcher_config() == MatcherConfig.optimized()
+        assert naive.to_matcher_config() == MatcherConfig.naive()
 
     def test_builder_chain(self):
         config = (RepairConfig.fast()
@@ -149,85 +144,36 @@ class TestRepairConfig:
         # builder steps return copies, the preset is untouched
         assert not RepairConfig.fast().batch_repairs
 
-    def test_ablation_matches_engine_semantics(self):
-        assert RepairConfig.ablation("incremental").backend == "naive"
-        assert not RepairConfig.ablation("index").use_candidate_index
+    def test_ablation_variants(self):
+        """The five E5 variants, pinned field for field."""
+        optimised = dict(backend="fast", use_candidate_index=True,
+                         use_decomposition=True, use_incremental=True,
+                         use_cost_planner=True)
+        expected = {
+            "none": {},
+            "index": {"use_candidate_index": False},
+            "decomposition": {"use_decomposition": False},
+            "planner": {"use_cost_planner": False},
+            "incremental": {"backend": "naive", "use_incremental": False},
+        }
+        for variant, changed in expected.items():
+            assert RepairConfig.ablation(variant) \
+                == RepairConfig(**{**optimised, **changed}), variant
         with pytest.raises(ValueError):
             RepairConfig.ablation("warp-drive")
 
+    def test_fields(self):
+        """One config, 17 knobs: a new field must be argued for here."""
+        assert [field.name for field in dataclasses.fields(RepairConfig)] == [
+            "backend", "use_candidate_index", "use_decomposition",
+            "use_incremental", "use_cost_planner", "batch_repairs",
+            "max_batch", "cost_model", "max_repairs", "match_limit_per_rule",
+            "workers", "parallel_inline", "warm_pool", "min_partition_nodes",
+            "max_rounds", "check_consistency", "require_consistency"]
 
-def _perturb(value, field_type: str):
-    """A value guaranteed to differ from the field's default."""
-    if isinstance(value, bool):
-        return not value
-    if isinstance(value, CostModel):
-        return CostModel(add_node=9.0, delete_edge=4.0)
-    if isinstance(value, MatcherConfig):
-        return MatcherConfig(use_candidate_index=not value.use_candidate_index,
-                             use_decomposition=not value.use_decomposition,
-                             match_limit=23, time_budget=1.5)
-    if isinstance(value, str):
-        return "naive" if value == "fast" else "fast"
-    if value is None:
-        return 1.25 if "float" in field_type else 17
-    if isinstance(value, int):
-        return value + 13
-    raise AssertionError(f"no perturbation rule for {value!r}")  # pragma: no cover
-
-
-def _perturbed_instance(config_cls):
-    """An instance of ``config_cls`` with every field set to a non-default."""
-    defaults = config_cls()
-    overrides = {
-        field.name: _perturb(getattr(defaults, field.name), str(field.type))
-        for field in dataclasses.fields(config_cls)
-    }
-    return config_cls(**overrides)
-
-
-class TestLegacyConfigShims:
-    """Regression: the RepairConfig shims must map every legacy field.
-
-    Each legacy config is built with *every* field perturbed away from its
-    default; converting to RepairConfig and back must reproduce it exactly.
-    A field added to a legacy config without a mapping makes this fail.
-    """
-
-    def test_engine_config_round_trips(self):
-        original = _perturbed_instance(EngineConfig)
-        assert RepairConfig.from_engine_config(original).to_engine_config() \
-            == original
-
-    def test_fast_config_round_trips(self):
-        original = _perturbed_instance(FastRepairConfig)
-        assert RepairConfig.from_fast_config(original).to_fast_config() \
-            == original
-
-    def test_naive_config_round_trips(self):
-        original = _perturbed_instance(NaiveRepairConfig)
-        assert RepairConfig.from_naive_config(original).to_naive_config() \
-            == original
-
-    def test_matcher_config_round_trips(self):
-        original = _perturbed_instance(MatcherConfig)
-        assert RepairConfig.from_matcher_config(original).to_matcher_config() \
-            == original
-
-    def test_from_legacy_dispatches(self):
-        assert RepairConfig.from_legacy(EngineConfig.naive()).backend == "naive"
-        assert RepairConfig.from_legacy(FastRepairConfig()).backend == "fast"
-        config = RepairConfig.fast()
-        assert RepairConfig.from_legacy(config) is config
-        with pytest.raises(TypeError):
-            RepairConfig.from_legacy(object())
-
-    def test_shared_knobs_are_declared_once(self):
-        """The cost/ordering knobs live on the shared base, not re-declared."""
-        from repro.repair.config import RepairKnobs
-
-        for config_cls in (EngineConfig, FastRepairConfig, NaiveRepairConfig,
-                           RepairConfig):
-            assert issubclass(config_cls, RepairKnobs)
+    def test_session_rejects_other_config_types(self, tiny_kg, kg_rules):
+        with pytest.raises(TypeError, match="docs/MIGRATION.md"):
+            RepairSession(tiny_kg.copy(), kg_rules, config=object())
 
 
 # ---------------------------------------------------------------------------
@@ -555,26 +501,16 @@ class TestSessionEvents:
 
 
 # ---------------------------------------------------------------------------
-# open_session and the deprecation shims
+# Entry points
 # ---------------------------------------------------------------------------
 
 
 class TestEntryPoints:
-    def test_open_session_presets(self, tiny_kg, kg_rules):
-        with open_session(tiny_kg.copy(), kg_rules, "fast",
-                          max_repairs=3) as session:
-            assert session.config.backend == "fast"
-            assert session.config.max_repairs == 3
-            report = session.repair()
-            assert report.repairs_applied == 3
-        with pytest.raises(ValueError, match="unknown backend"):
-            open_session(tiny_kg.copy(), kg_rules, "quantum")
-
     def test_max_repairs_budgets_each_repair_call(self, tiny_kg, kg_rules):
         """The budget is per repair() call on every backend — a session that
         hit the cap once must make progress on its next call."""
-        with open_session(tiny_kg.copy(), kg_rules, "fast",
-                          max_repairs=2) as session:
+        with RepairSession(tiny_kg.copy(), kg_rules,
+                           config=RepairConfig.fast(max_repairs=2)) as session:
             first = session.repair()
             assert first.repairs_applied == 2
             second = session.repair()
@@ -582,21 +518,6 @@ class TestEntryPoints:
             while not session.report.reached_fixpoint:
                 session.repair()
             assert session.report.reached_fixpoint
-
-    def test_legacy_entry_points_warn_and_match_session(self, tiny_kg, kg_rules):
-        reference = tiny_kg.copy()
-        with RepairSession(reference, kg_rules) as session:
-            session.repair()
-
-        with pytest.warns(DeprecationWarning, match="repair_graph is deprecated"):
-            shimmed, report = repair_graph(tiny_kg, kg_rules, "fast")
-        assert shimmed.structurally_equal(reference)
-        assert report.reached_fixpoint
-
-        with pytest.warns(DeprecationWarning, match="RepairEngine is deprecated"):
-            engine_graph, _ = RepairEngine(EngineConfig.fast()).repair_copy(
-                tiny_kg, kg_rules)
-        assert engine_graph.structurally_equal(reference)
 
     def test_session_accepts_plain_rule_list(self, tiny_kg):
         rules = list(knowledge_graph_rules())

@@ -18,7 +18,8 @@ from repro.metrics import (
     repair_quality,
     summarize_rows,
 )
-from repro.repair import detect_violations, repair_graph
+from repro.api import repair_copy
+from repro.repair import detect_violations
 
 
 class TestDetectOnlyBaseline:
@@ -41,7 +42,7 @@ class TestFDRelationalBaseline:
         assert report.changes_applied > 0
         quality = repair_quality(small_kg_workload.clean, small_kg_workload.dirty,
                                  repaired, small_kg_workload.ground_truth)
-        grr_repaired, _ = repair_graph(small_kg_workload.dirty, small_kg_workload.rules)
+        grr_repaired, _ = repair_copy(small_kg_workload.dirty, small_kg_workload.rules)
         grr_quality = repair_quality(small_kg_workload.clean, small_kg_workload.dirty,
                                      grr_repaired, small_kg_workload.ground_truth)
         # it can fix some conflicts/duplicate edges but never incompleteness,
@@ -75,7 +76,7 @@ class TestGreedyBaseline:
         assert len(detect_violations(repaired, small_kg_workload.rules)) == 0
         quality = repair_quality(small_kg_workload.clean, small_kg_workload.dirty,
                                  repaired, small_kg_workload.ground_truth)
-        grr_repaired, _ = repair_graph(small_kg_workload.dirty, small_kg_workload.rules)
+        grr_repaired, _ = repair_copy(small_kg_workload.dirty, small_kg_workload.rules)
         grr_quality = repair_quality(small_kg_workload.clean, small_kg_workload.dirty,
                                      grr_repaired, small_kg_workload.ground_truth)
         assert quality.f1 < grr_quality.f1  # deletion-only is strictly worse
@@ -110,7 +111,7 @@ class TestFactsAndQuality:
         assert added == back_removed and removed == back_added
 
     def test_perfect_repair_scores_one(self, small_kg_workload):
-        repaired, _ = repair_graph(small_kg_workload.dirty, small_kg_workload.rules)
+        repaired, _ = repair_copy(small_kg_workload.dirty, small_kg_workload.rules)
         quality = repair_quality(small_kg_workload.clean, small_kg_workload.dirty,
                                  repaired, small_kg_workload.ground_truth)
         assert quality.precision > 0.95
@@ -130,7 +131,7 @@ class TestFactsAndQuality:
                                       small_kg_dataset.clean.copy())
 
     def test_quality_describe_and_dict(self, small_kg_workload):
-        repaired, _ = repair_graph(small_kg_workload.dirty, small_kg_workload.rules)
+        repaired, _ = repair_copy(small_kg_workload.dirty, small_kg_workload.rules)
         quality = repair_quality(small_kg_workload.clean, small_kg_workload.dirty,
                                  repaired, small_kg_workload.ground_truth)
         assert "precision" in quality.describe()
@@ -139,7 +140,7 @@ class TestFactsAndQuality:
 
 class TestChangeSummary:
     def test_summary_of_real_repair(self, small_kg_workload):
-        repaired, _ = repair_graph(small_kg_workload.dirty, small_kg_workload.rules)
+        repaired, _ = repair_copy(small_kg_workload.dirty, small_kg_workload.rules)
         summary = change_summary(small_kg_workload.clean, small_kg_workload.dirty, repaired)
         assert summary.facts_added >= 0 and summary.facts_removed > 0
         assert 0.0 < summary.preservation_ratio <= 1.0

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import RepairConfig, RepairSession
+from repro.api import RepairConfig, RepairSession, repair_copy
 from repro.datasets.registry import build_workload, load_dataset
 from repro.datasets.rulegen import RuleGenConfig, generate_rules
 from repro.graph import ChangeRecorder, PropertyGraph
@@ -41,7 +41,6 @@ from repro.matching import (
     pattern_requirements,
 )
 from repro.matching.predicates import exists, ne
-from repro.repair.engine import EngineConfig, RepairEngine
 from repro.repair.fast import FastRepairCore
 from repro.repair.violation import Violation
 from repro.rules.builder import incompleteness_rule
@@ -476,8 +475,8 @@ class TestMatcherStatsSurfaced:
 
     def test_fast_report_carries_matching_stats(self):
         workload = build_workload("kg", scale=60, error_rate=0.1, seed=3)
-        _, report = RepairEngine(EngineConfig.fast()).repair_copy(
-            workload.dirty, workload.rules)
+        _, report = repair_copy(workload.dirty, workload.rules,
+                                RepairConfig.fast())
         assert report.repairs_applied > 0
         assert report.matching_stats.nodes_tried > 0
         assert report.matching_stats.matches_found > 0
@@ -487,8 +486,8 @@ class TestMatcherStatsSurfaced:
 
     def test_naive_report_carries_matching_stats(self):
         workload = build_workload("kg", scale=60, error_rate=0.1, seed=3)
-        _, report = RepairEngine(EngineConfig.naive()).repair_copy(
-            workload.dirty, workload.rules)
+        _, report = repair_copy(workload.dirty, workload.rules,
+                                RepairConfig.naive())
         assert report.matching_stats.nodes_tried > 0
 
     def test_incremental_matcher_accumulates_stats(self, tiny_kg, duplicate_person_pattern):

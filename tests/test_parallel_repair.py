@@ -27,7 +27,7 @@ from repro.parallel import (
     shard_payload,
 )
 from repro.parallel.worker import ShardResult, execute_tasks
-from repro.repair.fast import AppliedRepair, FastRepairConfig, FastRepairCore
+from repro.repair.fast import AppliedRepair, FastRepairCore
 from repro.repair.violation import Violation
 from repro.graph.delta import recording
 from repro.rules.builder import conflict_rule
@@ -132,7 +132,7 @@ class TestWorkerProtocol:
                          core=frozenset(small_kg_workload.dirty.node_ids()),
                          namespace="s0",
                          rules=rules_factory(),
-                         config=FastRepairConfig())
+                         config=RepairConfig())
         clone = pickle.loads(pickle.dumps(task))
         assert clone.namespace == "s0"
         assert clone.rules.names() == rules_factory().names()
@@ -144,7 +144,7 @@ class TestWorkerProtocol:
                          core=frozenset(workload.dirty.node_ids()),
                          namespace="s0",
                          rules=workload.rules,
-                         config=FastRepairConfig())
+                         config=RepairConfig())
         result = run_shard_task(task)
         assert result.repairs_applied == len(result.repairs) > 0
         assert pickle.loads(pickle.dumps(result)).shard_index == 0
@@ -158,7 +158,7 @@ class TestWorkerProtocol:
                            core=frozenset(shard.core),
                            namespace=shard.namespace,
                            rules=small_kg_workload.rules,
-                           config=FastRepairConfig())
+                           config=RepairConfig())
                  for shard in plan.shards]
         results = execute_tasks(tasks, workers=3, use_processes=False)
         assert [result.shard_index for result in results] == [0, 1, 2]
@@ -436,8 +436,8 @@ class TestPopIndependentBatch:
     def _core_with_queue(self, regions, max_batch=None) -> FastRepairCore:
         graph = PropertyGraph(name="probe")
         core = FastRepairCore(graph, RuleSet([], name="empty"),
-                              config=FastRepairConfig(batch_repairs=True,
-                                                      max_batch=max_batch))
+                              config=RepairConfig(batch_repairs=True,
+                                                  max_batch=max_batch))
         for index, region in enumerate(regions):
             core.push(_violation(region, index))
         return core

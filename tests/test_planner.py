@@ -19,7 +19,6 @@ import pytest
 from repro.api import RepairConfig, RepairSession
 from repro.datasets import build_workload
 from repro.matching import CandidateIndex, Matcher, MatcherConfig, VF2Matcher
-from repro.repair.engine import EngineConfig
 
 DOMAINS = ("kg", "movies", "social")
 
@@ -129,11 +128,10 @@ class TestPlannerObservability:
             assert key in as_dict
         assert "planner:" in report.describe()
 
-    def test_ablation_knob_reaches_engine_config(self):
-        config = EngineConfig.ablation("planner")
+    def test_ablation_knob_reaches_repair_config(self):
+        config = RepairConfig.ablation("planner")
         assert config.use_cost_planner is False
         assert config.use_candidate_index is True
-        assert RepairConfig.ablation("planner").use_cost_planner is False
 
     def test_planner_replans_after_heavy_mutation(self):
         """A graph whose bucket cardinalities shift hard between searches

@@ -8,9 +8,10 @@ Covered invariants:
   and with the declarative ``check_match`` oracle on random graphs;
 * incremental match maintenance agrees with from-scratch re-enumeration after
   random mutation batches;
-* repairing random corrupted knowledge graphs reaches a violation-free
-  fixpoint, never lowers quality below the do-nothing baseline, and the fast
-  and naive algorithms agree on the resulting facts.
+* repairing random corrupted graphs of every domain (kg, movies, social)
+  reaches a violation-free fixpoint, never lowers quality below the
+  do-nothing baseline, and the fast and naive algorithms agree on the
+  resulting facts.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import KGConfig, generate_knowledge_graph, knowledge_graph_error_profile
-from repro.errors import inject_errors
+from repro.api import RepairConfig, repair_copy
+from repro.datasets import build_workload
 from repro.graph import ChangeRecorder, PropertyGraph, loads_json, dumps_json
 from repro.matching import (
     CandidateIndex,
@@ -34,8 +35,7 @@ from repro.matching import (
     VF2Matcher,
 )
 from repro.metrics import graph_facts, repair_quality
-from repro.repair import detect_violations, repair_graph
-from repro.rules import knowledge_graph_rules
+from repro.repair import detect_violations
 
 NODE_LABELS = ("A", "B", "C")
 EDGE_LABELS = ("r", "s")
@@ -163,19 +163,18 @@ class TestMatcherEquivalence:
 
 
 class TestRepairInvariants:
-    @given(seed=st.integers(min_value=0, max_value=10_000),
+    @given(domain=st.sampled_from(["kg", "movies", "social"]),
+           seed=st.integers(min_value=0, max_value=10_000),
            error_rate=st.sampled_from([0.03, 0.08, 0.15]))
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_repairing_random_corruptions_restores_consistency(self, seed, error_rate):
-        rules = knowledge_graph_rules()
-        clean = generate_knowledge_graph(KGConfig(num_persons=25, num_countries=3,
-                                                  cities_per_country=2,
-                                                  num_organizations=4, seed=seed))
-        dirty, truth = inject_errors(clean, knowledge_graph_error_profile(),
-                                     error_rate=error_rate, seed=seed + 1)
+    def test_repairing_random_corruptions_restores_consistency(self, domain, seed,
+                                                               error_rate):
+        workload = build_workload(domain, scale=25, error_rate=error_rate, seed=seed)
+        rules, clean, dirty = workload.rules, workload.clean, workload.dirty
+        truth = workload.ground_truth
 
-        fast_repaired, fast_report = repair_graph(dirty, rules, "fast")
+        fast_repaired, fast_report = repair_copy(dirty, rules, RepairConfig.fast())
         assert fast_report.reached_fixpoint
         assert len(detect_violations(fast_repaired, rules)) == 0
 
@@ -184,5 +183,5 @@ class TestRepairInvariants:
         assert quality.recall >= baseline.recall
         assert quality.precision >= 0.5
 
-        naive_repaired, _ = repair_graph(dirty, rules, "naive")
+        naive_repaired, _ = repair_copy(dirty, rules, RepairConfig.naive())
         assert graph_facts(naive_repaired) == graph_facts(fast_repaired)

@@ -1,4 +1,4 @@
-"""Tests for the naive and fast repair algorithms and the engine facade.
+"""Tests for the naive and fast repair algorithms and the one-shot entry points.
 
 The central property: **both algorithms reach a violation-free fixpoint and
 produce equivalent repairs** (same fact-level outcome) on every workload.
@@ -8,19 +8,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RepairConfig, RepairSession, repair_copy
 from repro.datasets import build_workload
 from repro.exceptions import InconsistentRuleSetError
+from repro.graph import PropertyGraph
 from repro.metrics import graph_facts, repair_quality
-from repro.repair import (
-    EngineConfig,
-    FastRepairConfig,
-    FastRepairer,
-    NaiveRepairConfig,
-    NaiveRepairer,
-    RepairEngine,
-    detect_violations,
-    repair_graph,
-)
+from repro.repair import FastRepairer, NaiveRepairer, detect_violations
 from repro.rules import RuleSet, conflict_rule, incompleteness_rule
 
 
@@ -37,7 +30,7 @@ class TestNaiveRepairer:
 
     def test_max_repairs_budget_is_respected(self, tiny_kg, kg_rules):
         graph = tiny_kg.copy()
-        report = NaiveRepairer(NaiveRepairConfig(max_repairs=2)).repair(graph, kg_rules)
+        report = NaiveRepairer(RepairConfig.naive(max_repairs=2)).repair(graph, kg_rules)
         assert report.repairs_applied <= 2
         assert not report.reached_fixpoint
 
@@ -61,8 +54,8 @@ class TestFastRepairer:
         assert report.timings.get("incremental-maintenance") >= 0.0
 
     def test_optimisations_can_be_disabled(self, tiny_kg, kg_rules):
-        for config in (FastRepairConfig(use_candidate_index=False),
-                       FastRepairConfig(use_decomposition=False)):
+        for config in (RepairConfig(use_candidate_index=False),
+                       RepairConfig(use_decomposition=False)):
             graph = tiny_kg.copy()
             report = FastRepairer(config).repair(graph, kg_rules)
             assert report.reached_fixpoint
@@ -70,17 +63,50 @@ class TestFastRepairer:
 
     def test_max_repairs_budget(self, tiny_kg, kg_rules):
         graph = tiny_kg.copy()
-        report = FastRepairer(FastRepairConfig(max_repairs=1)).repair(graph, kg_rules)
+        report = FastRepairer(RepairConfig(max_repairs=1)).repair(graph, kg_rules)
         assert report.repairs_applied == 1
         assert not report.reached_fixpoint
 
 
 class TestEquivalenceOfAlgorithms:
+    def test_failed_repairs_settle_alike(self):
+        """A rule whose repair always fails leaves its violation behind: both
+        algorithms must count it as remaining and report no fixpoint."""
+        good = (incompleteness_rule("good")
+                .node("p", "Person")
+                .missing_property("p", "checked")
+                .update_node("p", set_properties={"checked": True})
+                .build())
+        # the repair adds an edge *from an edge variable*, which cannot be
+        # executed, so every attempt fails
+        bad = (incompleteness_rule("bad-endpoint")
+               .node("p", "Person").node("q", "Person")
+               .edge("p", "q", "knows", variable="e")
+               .missing_edge("q", "p", "likes")
+               .add_edge("e", "p", "likes")
+               .build())
+        rules = RuleSet([good, bad], name="one-failing")
+        graph = PropertyGraph(name="two-people")
+        ann = graph.add_node("Person", {"name": "Ann"})
+        bob = graph.add_node("Person", {"name": "Bob"})
+        graph.add_edge(ann.id, bob.id, "knows")
+
+        outcomes = {}
+        for config in (RepairConfig.fast(), RepairConfig.naive()):
+            _, report = repair_copy(graph, rules, config)
+            outcomes[config.backend] = (report.repairs_failed,
+                                        report.remaining_violations,
+                                        report.reached_fixpoint)
+        assert outcomes["fast"] == (1, 1, False)
+        assert outcomes["naive"] == outcomes["fast"]
+
     @pytest.mark.parametrize("domain", ["kg", "movies", "social"])
     def test_fast_and_naive_reach_equivalent_fixpoints(self, domain):
         workload = build_workload(domain, scale=40, error_rate=0.08, seed=11)
-        fast_graph, fast_report = repair_graph(workload.dirty, workload.rules, "fast")
-        naive_graph, naive_report = repair_graph(workload.dirty, workload.rules, "naive")
+        fast_graph, fast_report = repair_copy(workload.dirty, workload.rules,
+                                              RepairConfig.fast())
+        naive_graph, naive_report = repair_copy(workload.dirty, workload.rules,
+                                                RepairConfig.naive())
 
         assert fast_report.reached_fixpoint and naive_report.reached_fixpoint
         assert len(detect_violations(fast_graph, workload.rules)) == 0
@@ -96,46 +122,37 @@ class TestEquivalenceOfAlgorithms:
 
     def test_repairing_a_clean_graph_changes_nothing(self, small_kg_dataset):
         clean = small_kg_dataset.clean
-        repaired, report = repair_graph(clean, small_kg_dataset.rules, "fast")
+        repaired, report = repair_copy(clean, small_kg_dataset.rules)
         assert report.repairs_applied == 0
         assert graph_facts(repaired) == graph_facts(clean)
 
     def test_repair_is_idempotent(self, small_kg_workload):
         rules = small_kg_workload.rules
-        once, first_report = repair_graph(small_kg_workload.dirty, rules, "fast")
-        twice, second_report = repair_graph(once, rules, "fast")
+        once, first_report = repair_copy(small_kg_workload.dirty, rules)
+        twice, second_report = repair_copy(once, rules)
         assert first_report.repairs_applied > 0
         assert second_report.repairs_applied == 0
         assert graph_facts(once) == graph_facts(twice)
 
 
-class TestRepairEngine:
+class TestEntryPoints:
     def test_repair_copy_leaves_input_untouched(self, tiny_kg, kg_rules):
         before = graph_facts(tiny_kg)
-        engine = RepairEngine(EngineConfig.fast())
-        repaired, report = engine.repair_copy(tiny_kg, kg_rules)
+        repaired, report = repair_copy(tiny_kg, kg_rules, RepairConfig.fast())
         assert graph_facts(tiny_kg) == before
         assert report.repairs_applied > 0
         assert repaired.name.endswith("-repaired")
 
     def test_in_place_repair_mutates_input(self, tiny_kg, kg_rules):
         graph = tiny_kg.copy()
-        _, report = repair_graph(graph, kg_rules, method="fast", in_place=True)
+        with RepairSession(graph, kg_rules, config=RepairConfig.fast()) as session:
+            report = session.repair()
         assert report.repairs_applied > 0
         assert len(detect_violations(graph, kg_rules)) == 0
 
     def test_unknown_method_rejected(self, tiny_kg, kg_rules):
-        engine = RepairEngine(EngineConfig(method="quantum"))
         with pytest.raises(ValueError):
-            engine.repair(tiny_kg.copy(), kg_rules)
-
-    def test_ablation_configs(self):
-        assert EngineConfig.ablation("none").use_candidate_index
-        assert not EngineConfig.ablation("index").use_candidate_index
-        assert not EngineConfig.ablation("decomposition").use_decomposition
-        assert EngineConfig.ablation("incremental").method == "naive"
-        with pytest.raises(ValueError):
-            EngineConfig.ablation("warp-drive")
+            repair_copy(tiny_kg, kg_rules, RepairConfig(backend="quantum"))
 
     def test_consistency_gate_warns_or_raises(self, tiny_kg):
         adder = (incompleteness_rule("always-add")
@@ -151,14 +168,13 @@ class TestRepairEngine:
                    .build())
         inconsistent = RuleSet([adder, deleter], name="oscillating")
 
-        warning_engine = RepairEngine(EngineConfig.fast(check_consistency=True,
-                                                        max_repairs=30))
         with pytest.warns(UserWarning):
-            warning_engine.repair(tiny_kg.copy(), inconsistent)
+            repair_copy(tiny_kg, inconsistent,
+                        RepairConfig.fast(check_consistency=True, max_repairs=30))
 
-        strict_engine = RepairEngine(EngineConfig.fast(require_consistency=True))
         with pytest.raises(InconsistentRuleSetError):
-            strict_engine.repair(tiny_kg.copy(), inconsistent)
+            repair_copy(tiny_kg, inconsistent,
+                        RepairConfig.fast(require_consistency=True))
 
     def test_oscillating_rules_terminate_without_fixpoint(self, tiny_kg):
         """An inconsistent (oscillating) pair must not loop forever: the fast
@@ -177,7 +193,7 @@ class TestRepairEngine:
                    .build())
         rules = RuleSet([adder, deleter], name="oscillating")
         graph = tiny_kg.copy()
-        report = FastRepairer(FastRepairConfig(max_repairs=200)).repair(graph, rules)
+        report = FastRepairer(RepairConfig(max_repairs=200)).repair(graph, rules)
         assert report.repairs_applied < 200
         assert not report.reached_fixpoint
         assert report.remaining_violations > 0

@@ -165,7 +165,7 @@ class TestSpawnPool:
             # a payload the worker cannot rebuild a graph from
             pool.bind("bad", {"garbage": True}, "s0", frozenset(),
                       small_kg_workload.rules,
-                      RepairConfig.fast().to_fast_config())
+                      RepairConfig.fast())
         assert pool.closed
         assert _no_pool_children()
         # the pool is reopenable (failure recovery), but work against the
@@ -246,7 +246,7 @@ class TestPoolProtocol:
     def test_inline_bind_ship_repair_roundtrip(self, small_kg_workload):
         graph = small_kg_workload.dirty.copy(name="proto")
         rules = small_kg_workload.rules
-        config = RepairConfig.fast().to_fast_config()
+        config = RepairConfig.fast()
         with WorkerPool(workers=1, inline=True) as pool:
             pool.bind("whole", shard_payload(graph), "s0",
                       frozenset(graph.node_ids()), rules, config)
@@ -271,7 +271,7 @@ class TestPoolProtocol:
             pool.bind("r", shard_payload(graph), "s0",
                       frozenset(graph.node_ids()),
                       small_kg_workload.rules,
-                      RepairConfig.fast().to_fast_config())
+                      RepairConfig.fast())
             # a delta referencing a node the replica does not have
             scratch = graph.copy()
             ghost = scratch.add_node("Person", {"name": "Ghost"})
@@ -308,7 +308,7 @@ class TestPoolProtocol:
         pool = WorkerPool(workers=2, stop_grace=0.25, fault_plan=plan)
         payload = shard_payload(small_kg_workload.dirty)
         pool.bind("k", payload, "s0", frozenset(), small_kg_workload.rules,
-                  RepairConfig.fast().to_fast_config())
+                  RepairConfig.fast())
         pool.close()
         assert pool.closed
         assert _no_pool_children()
