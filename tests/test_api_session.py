@@ -19,6 +19,7 @@ from repro.api import (
     available_backends,
     build_backend,
     register_backend,
+    repair_copy,
 )
 from repro.exceptions import SessionStateError
 from repro.graph import ChangeRecorder, GraphDelta, PropertyGraph
@@ -174,6 +175,41 @@ class TestRepairConfig:
     def test_session_rejects_other_config_types(self, tiny_kg, kg_rules):
         with pytest.raises(TypeError, match="docs/MIGRATION.md"):
             RepairSession(tiny_kg.copy(), kg_rules, config=object())
+
+    def test_session_keeps_the_given_config(self, tiny_kg, kg_rules):
+        config = RepairConfig.naive(max_rounds=7)
+        with RepairSession(tiny_kg.copy(), kg_rules, config=config) as session:
+            assert session.config is config
+        with RepairSession(tiny_kg.copy(), kg_rules, config=None) as session:
+            assert session.config == RepairConfig.fast()
+
+    def test_to_matcher_config_follows_each_switch(self):
+        """Every matching knob reaches the matcher config on its own; the
+        matcher-only limits stay at the matcher's defaults."""
+        switches = ("use_candidate_index", "use_decomposition",
+                    "use_cost_planner")
+        for switch in switches:
+            config = RepairConfig.fast(**{switch: False})
+            matcher = config.to_matcher_config()
+            for name in switches:
+                assert getattr(matcher, name) is (name != switch), (switch, name)
+            assert matcher.match_limit == MatcherConfig().match_limit
+            assert matcher.time_budget == MatcherConfig().time_budget
+
+    def test_one_config_class(self):
+        """The packages re-export one class, and the backend registry
+        carries no alias."""
+        import importlib.util
+
+        import repro
+        import repro.repair
+        import repro.repair.config
+
+        assert repro.RepairConfig is RepairConfig
+        assert repro.repair.RepairConfig is RepairConfig
+        assert repro.repair.config.RepairConfig is RepairConfig
+        assert importlib.util.find_spec("repro.api.config") is None
+        assert "greedy-delete" not in available_backends()
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +542,35 @@ class TestSessionEvents:
 
 
 class TestEntryPoints:
+    def test_session_presets(self, tiny_kg, kg_rules):
+        with RepairSession(tiny_kg.copy(), kg_rules,
+                           config=RepairConfig.fast(max_repairs=3)) as session:
+            assert session.config.backend == "fast"
+            assert session.config.max_repairs == 3
+            report = session.repair()
+            assert report.repairs_applied == 3
+        with pytest.raises(ValueError, match="unknown repair method"):
+            RepairSession(tiny_kg.copy(), kg_rules,
+                          config=RepairConfig(backend="quantum"))
+
+    @pytest.mark.parametrize("preset", ["fast", "naive", "baseline"])
+    def test_repair_copy_matches_session(self, tiny_kg, kg_rules, preset):
+        """The one-shot entry point is a session on a copy: same graph, same
+        report, input untouched."""
+        config = getattr(RepairConfig, preset)()
+        reference = tiny_kg.copy()
+        with RepairSession(reference, kg_rules, config=config) as session:
+            session_report = session.repair()
+
+        before = tiny_kg.copy()
+        repaired, report = repair_copy(tiny_kg, kg_rules, config)
+        assert repaired.structurally_equal(reference)
+        assert tiny_kg.structurally_equal(before)
+        assert report.reached_fixpoint == session_report.reached_fixpoint
+        assert report.repairs_applied == session_report.repairs_applied
+        assert report.remaining_violations \
+            == session_report.remaining_violations
+
     def test_max_repairs_budgets_each_repair_call(self, tiny_kg, kg_rules):
         """The budget is per repair() call on every backend — a session that
         hit the cap once must make progress on its next call."""

@@ -134,7 +134,40 @@ class TestWarmEqualsSequential:
             assert pool.stats.binds >= 4
 
 
-class TestSpawnPool:
+class TestWarmDegradation:
+    """The warm path shares the cold path's fan-out verdict: runs the cold
+    path would keep sequential never create a pool."""
+
+    def test_max_repairs_budget_keeps_warm_path_sequential(self,
+                                                           small_kg_workload):
+        reference = small_kg_workload.dirty.copy(name="reference")
+        with RepairSession(reference, small_kg_workload.rules,
+                           config=RepairConfig.fast(max_repairs=3)) as session:
+            session.repair()
+
+        graph = small_kg_workload.dirty.copy(name="warm-budget")
+        with RepairSession(graph, small_kg_workload.rules,
+                           config=_warm_config(workers=2, max_repairs=3)
+                           ) as session:
+            report = session.repair()
+            assert not session.backend.last_fanout.ran
+            assert session.backend.pool is None
+        assert report.repairs_applied == 3
+        assert graph.structurally_equal(reference)
+
+    def test_small_graph_keeps_warm_path_sequential(self, small_kg_workload):
+        graph = small_kg_workload.dirty.copy(name="warm-small")
+        config = RepairConfig.sharded(workers=2, warm=True,
+                                      parallel_inline=True,
+                                      min_partition_nodes=10_000)
+        with RepairSession(graph, small_kg_workload.rules,
+                           config=config) as session:
+            report = session.repair()
+            assert not session.backend.last_fanout.ran
+            assert session.backend.pool is None
+        assert report.reached_fixpoint
+
+
     def test_warm_spawns_once_and_closes_clean(self, small_kg_workload):
         graph = small_kg_workload.dirty.copy(name="spawned")
         config = RepairConfig.sharded(workers=2, warm=True,
