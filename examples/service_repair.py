@@ -41,18 +41,20 @@ import threading
 import urllib.request
 
 from repro import build_workload, telemetry
+from repro.durability.codec import encode_value
 from repro.graph.io import graph_to_dict
 from repro.service import GraphRepairService
 
 
 def exactly_equal(left, right) -> bool:
     """Element-for-element equality, ids included (stricter than
-    ``structurally_equal``)."""
-    a, b = graph_to_dict(left), graph_to_dict(right)
-    a.pop("name", None)
-    b.pop("name", None)
-    return json.dumps(a, sort_keys=True, default=repr) \
-        == json.dumps(b, sort_keys=True, default=repr)
+    ``structurally_equal``).  Values go through the durability codec, which
+    sorts set members, so a set's iteration order cannot decide it."""
+    def canonical(graph) -> str:
+        document = graph_to_dict(graph)
+        document.pop("name", None)
+        return json.dumps(encode_value(document), sort_keys=True)
+    return canonical(left) == canonical(right)
 
 
 def hammer(service: GraphRepairService, name: str, threads: int = 3,

@@ -22,12 +22,16 @@ graph, we do not re-enumerate all matches of all rule patterns.  Instead:
    costs nothing when the other endpoint is bound by few.
 2. **Discovery** — a match that exists after the delta but not before must
    bind at least one *changed* element.  Seeded backtracking searches are
-   therefore derived per change kind: an added/updated/relabelled data edge
-   pins **both** endpoint variables of every label-compatible pattern edge
-   (the new match must use the changed edge as witness or edge binding, so
-   its endpoints are fixed), an added/updated/relabelled node is pinned at
-   every label-compatible variable, and node merges conservatively seed the
-   whole touched region.  Removals are purely subtractive for this
+   therefore derived once per delta (:class:`DeltaSeeds`), per change kind:
+   an added/updated/relabelled data edge pins **both** endpoint variables of
+   every label-compatible pattern edge (the new match must use the changed
+   edge as witness or edge binding, so its endpoints are fixed), and an
+   added/updated/relabelled node is pinned at every label-compatible
+   variable.  A merge is seeded at its survivor only: it adds nothing but the
+   survivor's merged properties and replacement edges that all have the
+   survivor as an endpoint, and :meth:`Pattern.check_match` reads only bound
+   nodes and the edges between bound pairs, so every match a merge creates
+   binds the survivor.  Removals are purely subtractive for this
    existential-positive pattern language and trigger no discovery.  The union
    of the searches, deduplicated by match key, is exactly the set of new
    matches.
@@ -66,14 +70,29 @@ from repro.matching.index import CandidateIndex, pattern_requirements
 from repro.matching.pattern import Match, Pattern
 from repro.matching.vf2 import MatchingStats, VF2Matcher
 
-# Change kinds whose discovery seeds pin a (changed) data edge's endpoints to
-# the endpoint variables of compatible pattern edges, versus kinds that seed
-# one changed node at every compatible variable.
-_EDGE_SEED_KINDS = frozenset({ChangeKind.ADD_EDGE, ChangeKind.UPDATE_EDGE,
-                              ChangeKind.RELABEL_EDGE})
-_NODE_SEED_KINDS = frozenset({ChangeKind.ADD_NODE, ChangeKind.UPDATE_NODE,
-                              ChangeKind.RELABEL_NODE})
-_EDGE_KINDS = _EDGE_SEED_KINDS | {ChangeKind.REMOVE_EDGE}
+# The reach of each change kind (see the module docstring): its *region*,
+# the stored matches it can invalidate — those binding both endpoints of the
+# changed edge, or binding the changed node (for a merge, the survivor or the
+# merged node) — and its discovery *seed*, where a match it creates must bind:
+# at both endpoints of the changed edge, or at the changed node (for a merge,
+# the survivor).  ``None``: the kind reaches no stored match, or creates none
+# (removals are purely subtractive for this existential-positive pattern
+# language).
+_EDGE, _NODE = "edge", "node"
+_REACH: dict[ChangeKind, tuple[str | None, str | None]] = {
+    #                         region   seed
+    ChangeKind.ADD_EDGE:      (_EDGE, _EDGE),
+    ChangeKind.UPDATE_EDGE:   (_EDGE, _EDGE),
+    ChangeKind.RELABEL_EDGE:  (_EDGE, _EDGE),
+    ChangeKind.REMOVE_EDGE:   (_EDGE, None),
+    ChangeKind.ADD_NODE:      (None, _NODE),
+    ChangeKind.UPDATE_NODE:   (_NODE, _NODE),
+    ChangeKind.RELABEL_NODE:  (_NODE, _NODE),
+    ChangeKind.REMOVE_NODE:   (_NODE, None),
+    ChangeKind.MERGE_NODES:   (_NODE, _NODE),
+}
+_EDGE_KINDS = frozenset(kind for kind, (region, _) in _REACH.items()
+                        if region == _EDGE)
 
 
 @dataclass
@@ -97,14 +116,44 @@ class DeltaRegion:
 
     def add(self, change: GraphChange) -> None:
         """Widen the region by the reach of one change."""
-        kind = change.kind
-        if kind in _EDGE_KINDS:
+        region = _REACH[change.kind][0]
+        if region == _EDGE:
             self.pairs.add(change.touched_nodes)  # (source, target)
-        elif kind is not ChangeKind.ADD_NODE:
+        elif region == _NODE:
             self.nodes.add(change.node_id)
             merged = change.details.get("merged")
             if merged is not None:
                 self.nodes.add(merged)
+
+
+@dataclass
+class DeltaSeeds:
+    """Where a match that a delta creates must bind.
+
+    A new match binds a node in ``nodes`` or both endpoints of an edge
+    ``(source, target, label)`` in ``edges``, read from the graph after the
+    delta (see the module docstring for the seed per change kind).  Elements
+    the delta created and then removed again seed nothing.  Both lists are
+    sorted, so the seeded searches run in the same order in every process.
+    """
+
+    nodes: list[str] = field(default_factory=list)
+    edges: list[tuple[str, str, str]] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, graph: PropertyGraph, changes: Iterable[GraphChange]) -> "DeltaSeeds":
+        nodes: set[str] = set()
+        edges: set[tuple[str, str, str]] = set()
+        for change in changes:
+            seed = _REACH[change.kind][1]
+            if seed == _EDGE:
+                if change.edge_id is not None and graph.has_edge(change.edge_id):
+                    edge = graph.edge(change.edge_id)
+                    edges.add((edge.source, edge.target, edge.label))
+            elif seed == _NODE:
+                if change.node_id is not None and graph.has_node(change.node_id):
+                    nodes.add(change.node_id)
+        return cls(nodes=sorted(nodes), edges=sorted(edges))
 
 
 def _label_set(labels: Iterable[str | None]) -> frozenset[str] | None:
@@ -342,9 +391,10 @@ class IncrementalMatcher:
         target_stores = ([self._stores[name] for name in patterns]
                          if patterns is not None else list(self._stores.values()))
         region = DeltaRegion.of(delta.changes)
+        seeds = DeltaSeeds.of(self.graph, delta.changes)
         updates: dict[str, IncrementalUpdate] = {}
         for store in target_stores:
-            updates[store.pattern.name] = self._update_store(store, delta, region)
+            updates[store.pattern.name] = self._update_store(store, region, seeds)
         return updates
 
     def recheck_candidates(self, delta: GraphDelta) -> list[tuple[str, list[Match]]]:
@@ -377,8 +427,8 @@ class IncrementalMatcher:
             candidates.append((name, store.matches_in(region)))
         return candidates
 
-    def _update_store(self, store: MatchStore, delta: GraphDelta,
-                      region: DeltaRegion) -> IncrementalUpdate:
+    def _update_store(self, store: MatchStore, region: DeltaRegion,
+                      seeds: DeltaSeeds) -> IncrementalUpdate:
         update = IncrementalUpdate()
 
         # 1. Invalidation: re-verify only the matches inside the delta's
@@ -391,45 +441,16 @@ class IncrementalMatcher:
                 store.discard(match)
                 update.invalidated.append(match)
 
-        # 2. Discovery: delta-driven seeded searches.  A match that exists
-        #    after the delta but not before must bind a changed element, so
-        #    the seeds are derived per change kind:
-        #
-        #    * added / relabelled / updated *edges* pin BOTH endpoint
-        #      variables of every label-compatible pattern edge (the new match
-        #      must use the changed edge as a witness, or bind it as an edge
-        #      variable — either way its endpoints are fixed);
-        #    * added / relabelled / updated *nodes* seed that node at every
-        #      compatible variable (only its own state changed);
-        #    * node merges fall back to the conservative touched-node region
-        #      (they restructure incidence non-locally).
-        #
-        #    Removals are purely subtractive for the existential-positive
-        #    pattern language and need no discovery at all.
-        if delta.has_additive_effect:
-            self._discover(store, delta, update)
+        # 2. Discovery: seeded searches at the delta's seeds (a changed
+        #    edge's endpoints, a changed node, a merge's survivor; see the
+        #    module docstring, item 2).
+        self._discover(store, seeds, update)
         return update
 
-    def _discover(self, store: MatchStore, delta: GraphDelta,
+    def _discover(self, store: MatchStore, seeds: DeltaSeeds,
                   update: IncrementalUpdate) -> None:
         graph = self.graph
         pattern = store.pattern
-        seed_nodes: set[str] = set()
-        edge_seeds: set[tuple[str, str, str]] = set()
-        for change in delta.changes:
-            kind = change.kind
-            if kind in _EDGE_SEED_KINDS:
-                if change.edge_id is not None and graph.has_edge(change.edge_id):
-                    edge = graph.edge(change.edge_id)
-                    edge_seeds.add((edge.source, edge.target, edge.label))
-            elif kind in _NODE_SEED_KINDS:
-                if change.node_id is not None:
-                    seed_nodes.add(change.node_id)
-            elif kind is ChangeKind.MERGE_NODES:
-                if change.node_id is not None:
-                    seed_nodes.add(change.node_id)
-                seed_nodes.update(change.touched_nodes)
-
         engine = self._engine
         launched: set[tuple] = set()
 
@@ -443,16 +464,13 @@ class IncrementalMatcher:
                 if store.add(match):
                     update.discovered.append(match)
 
-        for node_id in sorted(node_id for node_id in seed_nodes
-                              if graph.has_node(node_id)):
+        for node_id in seeds.nodes:
             node = graph.node(node_id)
             for variable in variables_compatible_with_label(pattern, node.label):
                 if self._seed_viable(pattern, variable, node_id, node):
                     run_search({variable: node_id})
 
-        for source_id, target_id, label in sorted(edge_seeds):
-            if not (graph.has_node(source_id) and graph.has_node(target_id)):
-                continue
+        for source_id, target_id, label in seeds.edges:
             source_node = graph.node(source_id)
             target_node = graph.node(target_id)
             for pattern_edge in pattern.edges:

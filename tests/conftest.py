@@ -19,6 +19,15 @@ def pytest_configure(config):
     # a deprecated path must not creep back in: any DeprecationWarning fails
     # the run instead of scrolling past in the warnings summary
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    # ...except one third-party import: reporting a failing hypothesis test
+    # imports libcst, whose TypedDict classes come from mypy_extensions and
+    # warn at definition.  Promoted to an error, it ends the run with an
+    # INTERNALERROR before the falsifying example is printed.  Later lines
+    # take precedence, and the module regex names the defining module only.
+    config.addinivalue_line(
+        "filterwarnings",
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning:"
+        r"libcst\.metadata\.type_inference_provider")
 
 
 @pytest.fixture

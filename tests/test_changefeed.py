@@ -20,7 +20,6 @@ full repair workloads.
 
 from __future__ import annotations
 
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,8 +27,9 @@ from hypothesis import strategies as st
 
 from repro.api import CommittedDelta, RepairConfig, RepairSession
 from repro.graph.delta import rebase_delta, replay_delta
-from repro.graph.io import graph_to_dict
 from repro.graph.property_graph import PropertyGraph
+
+from graph_oracle import exactly_equal
 
 WORKLOAD_FIXTURES = ("small_kg_workload", "small_movie_workload",
                      "small_social_workload")
@@ -38,17 +38,6 @@ WORKLOAD_FIXTURES = ("small_kg_workload", "small_movie_workload",
 @pytest.fixture(params=WORKLOAD_FIXTURES)
 def workload(request):
     return request.getfixturevalue(request.param)
-
-
-def _exactly_equal(left: PropertyGraph, right: PropertyGraph) -> bool:
-    """Element-for-element equality *including* edge ids (stricter than
-    ``structurally_equal``, which treats edges as an id-less multiset)."""
-    a = graph_to_dict(left)
-    b = graph_to_dict(right)
-    a.pop("name", None)
-    b.pop("name", None)
-    return json.dumps(a, sort_keys=True, default=repr) \
-        == json.dumps(b, sort_keys=True, default=repr)
 
 
 def _rebuild_from_feed(opening: PropertyGraph,
@@ -135,7 +124,7 @@ class TestReplicaReconstruction:
             session.repair()
             records = session.deltas()
         replica = _rebuild_from_feed(opening, records)
-        assert _exactly_equal(replica, live)
+        assert exactly_equal(replica, live)
 
     def test_incremental_subscriber_replica(self, small_kg_workload):
         """A replica fed through on_commit (not a terminal poll) tracks the
@@ -146,11 +135,11 @@ class TestReplicaReconstruction:
         with RepairSession(live, small_kg_workload.rules) as session:
             session.on_commit(lambda record: record.replay_onto(replica))
             session.repair()
-            assert _exactly_equal(replica, live)
+            assert exactly_equal(replica, live)
             session.apply(lambda g: g.add_node("City", {"name": "Geneva"}))
-            assert _exactly_equal(replica, live)
+            assert exactly_equal(replica, live)
             session.repair()
-            assert _exactly_equal(replica, live)
+            assert exactly_equal(replica, live)
 
     def test_rebase_onto_foreign_id_space(self, small_kg_workload):
         """A record rebased onto a replica with a *live* id generator whose
@@ -246,6 +235,6 @@ class TestFeedReplayProperty:
                 else:
                     session.apply(edit)
             replica = _rebuild_from_feed(opening, session.deltas())
-            assert _exactly_equal(replica, session.graph)
+            assert exactly_equal(replica, session.graph)
         finally:
             session.close()

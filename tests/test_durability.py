@@ -9,7 +9,6 @@ prefix: same ids, labels, properties, and the same fresh-id stream.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import signal
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.api import RepairConfig, RepairSession
 from repro.exceptions import DurabilityError, ServiceError
-from repro.graph.io import graph_to_dict
 from repro.graph.property_graph import PropertyGraph
 from repro.rules.grr import RuleSet
 from repro.durability import (
@@ -50,14 +48,7 @@ from repro.durability.wal import (
 from repro.service import GraphRepairService
 
 import durability_driver
-
-
-def _exactly_equal(left: PropertyGraph, right: PropertyGraph) -> bool:
-    a, b = graph_to_dict(left), graph_to_dict(right)
-    a.pop("name", None)
-    b.pop("name", None)
-    return json.dumps(a, sort_keys=True, default=repr) \
-        == json.dumps(b, sort_keys=True, default=repr)
+from graph_oracle import canonical_graph, exactly_equal
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +110,7 @@ class TestCodec:
         graph.remove_node(doomed.id)  # the counter remembers what ids are burnt
         rebuilt = codec.decode_graph(codec.loads(codec.dumps(
             codec.encode_graph(graph))))
-        assert _exactly_equal(rebuilt, graph)
+        assert exactly_equal(rebuilt, graph)
         assert rebuilt.add_node("X").id == graph.add_node("X").id
 
 
@@ -236,7 +227,7 @@ class TestSnapshots:
             graph.add_node("City", {"seq": sequence})
             write_snapshot(tmp_path, graph, sequence, fsync=False)
         loaded, sequence = load_snapshot(list_snapshots(tmp_path)[-1])
-        assert sequence == 30 and _exactly_equal(loaded, graph)
+        assert sequence == 30 and exactly_equal(loaded, graph)
         assert prune_snapshots(tmp_path, keep=2) == 1
         assert [p.name for p in list_snapshots(tmp_path)] \
             == [f"snapshot-{s:012d}.snap" for s in (20, 30)]
@@ -290,7 +281,7 @@ class TestTenantDurability:
         recovered = recover("kg", config)
         assert recovered.sequence == sink.global_sequence
         assert recovered.records_replayed <= config.snapshot_every
-        assert _exactly_equal(recovered.graph, graph)
+        assert exactly_equal(recovered.graph, graph)
         # the fresh-id streams agree too: recovery is a true continuation
         assert recovered.graph.add_node("X").id == graph.add_node("X").id
 
@@ -377,13 +368,12 @@ class TestServiceDurability:
                           rules, durable=config)
             service.repair("kg")
             service.apply("kg", lambda g: g.add_node("City", {"name": "Oslo"}))
-            expected = json.dumps(graph_to_dict(service.graph("kg")),
-                                  sort_keys=True, default=repr)
+            expected = canonical_graph(service.graph("kg"))
             stats = service.durability("kg").stats()
         with GraphRepairService() as service:
             session = service.restore("kg", rules, durable=config)
-            assert json.dumps(graph_to_dict(session.graph), sort_keys=True,
-                              default=repr) == expected
+            assert session.graph.name == "kg"
+            assert canonical_graph(session.graph) == expected
             info = service.recovery_info("kg")
             assert info.sequence == stats["global_sequence"]
             # new commits continue the same global log
@@ -460,7 +450,7 @@ class TestCrashRecovery:
         assert recovered.sequence >= kill_after
         assert recovered.sequence < steps, "the kill landed mid-stream"
         reference = durability_driver.reference_run(recovered.sequence, seed)
-        assert _exactly_equal(recovered.graph, reference)
+        assert exactly_equal(recovered.graph, reference)
         assert recovered.graph.add_node("X").id == reference.add_node("X").id
         # and the restored tenant serves onward through the service API
         with GraphRepairService() as service:
@@ -497,13 +487,10 @@ def _observed_sequence(tenant_dir: Path) -> int:
 NODE_LABELS = ("Person", "City", "Country")
 EDGE_LABELS = ("knows", "livesIn", "inCountry")
 
-#: tuple-keyed dicts are codec-covered in TestCodec but stay out of this
-#: pool: the equality oracle (json.dumps(sort_keys=True)) cannot sort
-#: mixed-type dict keys
 _pathological_values = st.sampled_from([
     float("nan"), float("inf"), (1, ("a", None)), b"\x00\x01",
     frozenset({1, 2}), {"k", "e"}, {1: "x", 2: "y"}, "plain", 7,
-    {"$tuple": "tag-shaped-key"},
+    {"$tuple": "tag-shaped-key"}, {(1, "a"): "tuple-key"},
 ])
 
 
@@ -598,6 +585,6 @@ class TestCodecReplayProperty:
                 expected_sequence = sequence
                 from repro.graph.delta import replay_delta
                 replay_delta(replica, delta)
-            assert _exactly_equal(replica, session.graph)
+            assert exactly_equal(replica, session.graph)
         finally:
             session.close()

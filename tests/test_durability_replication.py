@@ -8,7 +8,6 @@ matcher over the primary graph — and keeps doing so as commits stream.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import threading
 
@@ -16,20 +15,13 @@ import pytest
 
 from repro.api import RepairSession
 from repro.exceptions import ReplicationError
-from repro.graph.io import graph_to_dict
 from repro.graph.property_graph import PropertyGraph
 from repro.matching.matcher import Matcher, MatcherConfig
 from repro.rules.grr import RuleSet
 from repro.durability import ChangefeedServer, ReadReplica, replica_match_probe
 from repro.service import GraphRepairService
 
-
-def _exactly_equal(left: PropertyGraph, right: PropertyGraph) -> bool:
-    a, b = graph_to_dict(left), graph_to_dict(right)
-    a.pop("name", None)
-    b.pop("name", None)
-    return json.dumps(a, sort_keys=True, default=repr) \
-        == json.dumps(b, sort_keys=True, default=repr)
+from graph_oracle import exactly_equal
 
 
 def _match_keys(graph: PropertyGraph, patterns) -> dict[str, list]:
@@ -47,12 +39,12 @@ class TestInProcessReplica:
                 ChangefeedServer() as server:
             server.publish("kg", session)
             with ReadReplica(server.address, "kg") as replica:
-                assert _exactly_equal(replica.graph, graph)
+                assert exactly_equal(replica.graph, graph)
                 session.repair()
                 session.apply(lambda g: g.add_node("City", {"name": "Kyiv"}))
                 replica.catch_up(until_sequence=session.last_sequence,
                                  timeout=20)
-                assert _exactly_equal(replica.graph, graph)
+                assert exactly_equal(replica.graph, graph)
                 assert replica.records_applied == session.last_sequence
 
     def test_snapshot_cut_is_race_free(self, small_kg_workload):
@@ -84,7 +76,7 @@ class TestInProcessReplica:
                 # replay past the cut must agree element-for-element
                 frozen = graph.copy(name="frozen")
                 replica.catch_up(timeout=5)  # drain any idle tail
-                assert _exactly_equal(replica.graph, frozen)
+                assert exactly_equal(replica.graph, frozen)
                 replica.close()
 
     def test_unknown_tenant_refused(self, small_kg_workload):
@@ -228,6 +220,6 @@ class TestServiceIntegration:
                     replica.catch_up(
                         until_sequence=service.durability(
                             "kg").global_sequence, timeout=20)
-                    assert _exactly_equal(replica.graph, session.graph)
+                    assert exactly_equal(replica.graph, session.graph)
                     assert replica.match_keys(patterns) \
                         == _match_keys(session.graph, patterns)

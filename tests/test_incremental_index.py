@@ -10,6 +10,9 @@ Covers:
 * recheck soundness: a :class:`FastRepairCore` driven through random
   committed edits queues every violation, including those reached only
   through a missing pattern's own variables;
+* merge discovery seeded at the survivor only: stores equal re-enumeration
+  after every merge of merge-heavy sequences, and the search work of a merge
+  does not grow with the hub it shares;
 * the ``pattern_requirements`` regression: parallel variable-less pattern
   edges between the same variable pair must not over-prune;
 * matcher statistics flowing from incremental maintenance and extension
@@ -237,6 +240,110 @@ class TestInvertedIndexEqualsRecompute:
                 assert binding <= {m.key() for m in via_index}
             assert store.check_integrity()
         assert any(m.edge_bindings for m in incremental.store("lives"))
+
+
+def _pair_sharing_a_neighbour(graph: PropertyGraph,
+                              rng: random.Random) -> tuple[str, str] | None:
+    """Two same-label nodes adjacent to one common node, or None."""
+    hubs = sorted(node_id for node_id in graph.node_ids()
+                  if graph.degree(node_id) >= 2)
+    for hub in rng.sample(hubs, len(hubs)):
+        by_label: dict[str, list[str]] = {}
+        for node_id in sorted(graph.neighbors(hub) - {hub}):
+            by_label.setdefault(graph.node(node_id).label, []).append(node_id)
+        pairs = [ids for ids in by_label.values() if len(ids) >= 2]
+        if pairs:
+            return tuple(rng.sample(rng.choice(pairs), 2))
+    return None
+
+
+class TestMergeDiscovery:
+    """A merge creates matches only through its survivor: its replacement
+    edges all end there and only its properties change.  Discovery seeds the
+    survivor alone, so these tests check that nothing is missed and that the
+    merged node's neighbourhood costs nothing."""
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("rule_source", ["rulegen", "library"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_merge_heavy_sequences(self, domain, rule_source, seed):
+        rng = random.Random(seed)
+        instance = load_dataset(domain, scale=50, seed=seed)
+        graph = instance.clean
+        rules = (generate_rules(graph, RuleGenConfig(num_rules=5, seed=seed))
+                 if rule_source == "rulegen" else instance.rules)
+        index = CandidateIndex(graph)
+        index.attach()
+        incremental = IncrementalMatcher(graph, candidate_index=index)
+        for rule in rules:
+            incremental.register(rule.pattern)
+        recorder = ChangeRecorder()
+        graph.add_listener(recorder)
+
+        merges = 0
+        while merges < 15:
+            pair = _pair_sharing_a_neighbour(graph, rng)
+            if pair is None:
+                break
+            keep, merge = pair
+            if rng.random() < 0.4:
+                # a self-loop on the merged node becomes one on the survivor;
+                # maintained on its own, or in the merge's delta, where the
+                # edge it adds is gone again
+                graph.add_edge(merge, merge, rng.choice(sorted(graph.edge_labels())))
+                if rng.random() < 0.5:
+                    incremental.apply_delta(recorder.drain())
+            if rng.random() < 0.3:
+                # an edge between the two becomes a self-loop too
+                graph.add_edge(keep, merge, rng.choice(sorted(graph.edge_labels())))
+            graph.merge_nodes(keep, merge,
+                              prefer_kept_properties=rng.random() < 0.5,
+                              drop_duplicate_edges=rng.random() < 0.5)
+            merges += 1
+            incremental.apply_delta(recorder.drain())
+            _assert_stores_equal_recompute(incremental, graph, index)
+        assert merges >= 10
+
+    def _merge_beside_residents(self, residents: int):
+        """Merge two same-named persons who live in one city beside
+        ``residents`` others; returns the merge's seeded searches, nodes
+        tried and discovered matches (pattern and node bindings: the ids of
+        the replacement edges depend on the number of residents)."""
+        graph = PropertyGraph(name="hub-city")
+        country = graph.add_node("Country", {"name": "italy"})
+        hub = graph.add_node("City", {"name": "hub"})
+        born = [graph.add_node("City", {"name": f"born{i}"}) for i in range(2)]
+        for city in (hub, *born):
+            graph.add_edge(city.id, country.id, "inCountry")
+        ada, ada2 = (graph.add_node("Person", {"name": "ada"}) for _ in range(2))
+        for person, city, confidence in ((ada, born[0], 0.9), (ada2, born[1], 0.5)):
+            graph.add_edge(person.id, city.id, "bornIn", {"confidence": confidence})
+            graph.add_edge(person.id, hub.id, "livesIn")
+        for i in range(residents):
+            resident = graph.add_node("Person", {"name": f"resident{i}"})
+            graph.add_edge(resident.id, hub.id, "livesIn")
+
+        index = CandidateIndex(graph)
+        index.attach()
+        incremental = IncrementalMatcher(graph, candidate_index=index)
+        for rule in knowledge_graph_rules():
+            incremental.register(rule.pattern)
+        recorder = ChangeRecorder()
+        graph.add_listener(recorder)
+        graph.merge_nodes(ada.id, ada2.id)
+        tried_before = incremental.stats.nodes_tried
+        updates = incremental.apply_delta(recorder.drain())
+        _assert_stores_equal_recompute(incremental, graph, index)
+        return (sum(update.seeded_searches for update in updates.values()),
+                incremental.stats.nodes_tried - tried_before,
+                sorted(match.key()[:2] for update in updates.values()
+                       for match in update.discovered))
+
+    def test_search_work_does_not_grow_with_the_hub(self):
+        searches, tried, discovered = self._merge_beside_residents(5)
+        assert (searches, tried, discovered) == self._merge_beside_residents(50)
+        # the survivor now has two birthplaces: a conflict the merge created
+        assert any(key[0].startswith("kg-single-birthplace") for key in discovered)
 
 
 class TestInvalidationIsDeltaLocal:

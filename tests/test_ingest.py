@@ -8,7 +8,6 @@ no background thread); thread-liveness tests start the real scheduler.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -16,7 +15,6 @@ import pytest
 
 from repro import RepairConfig, RepairSession, telemetry
 from repro.exceptions import AdmissionError, IngestError
-from repro.graph.io import graph_to_dict
 from repro.ingest import (
     AsyncRepairService,
     BufferedFeed,
@@ -28,14 +26,7 @@ from repro.ingest import (
 )
 from repro.service import DurabilityConfig, GraphRepairService
 
-
-def _exactly_equal(left, right) -> bool:
-    a = graph_to_dict(left)
-    b = graph_to_dict(right)
-    a.pop("name", None)
-    b.pop("name", None)
-    return json.dumps(a, sort_keys=True, default=repr) \
-        == json.dumps(b, sort_keys=True, default=repr)
+from graph_oracle import exactly_equal
 
 
 def _touch(node_id, key, value):
@@ -229,7 +220,7 @@ class TestIngestFront:
                 front.register("kg")
                 front.submit_many("kg", edits)
                 front.flush("kg")
-                assert _exactly_equal(service.sessions.get("kg").graph,
+                assert exactly_equal(service.sessions.get("kg").graph,
                                       sequential)
 
     def test_max_coalesce_bounds_one_batch(self, served):
@@ -582,7 +573,7 @@ class TestApplyMany:
             session.apply_many(node_edits)
             assert session.last_sequence == 1  # ONE record for the batch
         assert sequential_feed == 4
-        assert _exactly_equal(sequential, batched)
+        assert exactly_equal(sequential, batched)
 
     def test_apply_many_requires_edits(self, small_kg_workload):
         graph = small_kg_workload.dirty.copy(name="kg")

@@ -19,14 +19,12 @@ The equivalence contract has two strengths, tested separately:
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 
 import pytest
 
 from repro import telemetry
 from repro.exceptions import AdmissionError
-from repro.graph.io import graph_to_dict
 from repro.ingest import (
     AsyncRepairService,
     IngestConfig,
@@ -35,14 +33,7 @@ from repro.ingest import (
 )
 from repro.service import GraphRepairService
 
-
-def _exactly_equal(left, right) -> bool:
-    a = graph_to_dict(left)
-    b = graph_to_dict(right)
-    a.pop("name", None)
-    b.pop("name", None)
-    return json.dumps(a, sort_keys=True, default=repr) \
-        == json.dumps(b, sort_keys=True, default=repr)
+from graph_oracle import exactly_equal
 
 
 def _touch(node_id, key, value):
@@ -122,7 +113,7 @@ class TestAsyncEquivalence:
                         for record in commits:
                             session.apply(record.delta)
                         sequential.repair(name)
-                        assert _exactly_equal(
+                        assert exactly_equal(
                             session.graph, service.sessions.get(name).graph)
 
     def test_eager_scheduling_preserves_feed_replay_exactness(
@@ -166,7 +157,7 @@ class TestAsyncEquivalence:
                     replica = openings[name].copy(name=f"{name}-replica")
                     for record in service.deltas(name):
                         record.replay_onto(replica)
-                    assert _exactly_equal(replica,
+                    assert exactly_equal(replica,
                                           service.sessions.get(name).graph)
 
 

@@ -10,7 +10,6 @@ never the integrity of the one that did.
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
@@ -18,17 +17,9 @@ import pytest
 from repro.api import RepairConfig, RepairSession
 from repro.exceptions import ServiceError, SessionStateError
 from repro.graph.delta import recording
-from repro.graph.io import graph_to_dict
 from repro.service import GraphRepairService, SessionManager
 
-
-def _exactly_equal(left, right) -> bool:
-    a = graph_to_dict(left)
-    b = graph_to_dict(right)
-    a.pop("name", None)
-    b.pop("name", None)
-    return json.dumps(a, sort_keys=True, default=repr) \
-        == json.dumps(b, sort_keys=True, default=repr)
+from graph_oracle import exactly_equal
 
 
 class TestSessionManager:
@@ -241,12 +232,12 @@ class TestConcurrentEquivalence:
                         replayer.apply(record.delta)
                     else:
                         record.replay_onto(replay)
-            assert _exactly_equal(replay, final)
+            assert exactly_equal(replay, final)
             # and the feed alone rebuilds it too (pure replica, no session)
             replica = opening.copy(name="replica")
             for record in records:
                 record.replay_onto(replica)
-            assert _exactly_equal(replica, final)
+            assert exactly_equal(replica, final)
 
     def test_two_tenants_hammered_from_threads(self, small_kg_workload,
                                                small_movie_workload):
