@@ -17,13 +17,14 @@ Measures, for each of the three dataset domains (``kg``, ``movies``,
   compared against ``batched_seconds``; excluded from the regression gate's
   timing keys because pool startup is host-load dependent, but its
   deterministic work counters are tracked;
-* the ``service-kg`` scenario (kg domain only) — warm-pool vs cold-spawn
-  repair through ``repro.service``: one sharded tenant driven through
-  repair → (edit → repair) × N on a persistent warm pool and again on the
-  cold per-call pool.  Wall-clock per call is recorded (not gated — spawn
-  cost is host-load dependent); the *overhead counters* are gated:
+* the ``service-kg`` scenario (kg domain only) — sharded repair through
+  ``repro.service`` against a plain session: one sharded tenant driven
+  through repair → (edit → repair) × N on the service's shared pool, and
+  the same drive on a plain sharded session with its own pool (the
+  ``service_cold_*`` keys).  Wall-clock per call is recorded (not gated —
+  spawn cost is host-load dependent); the *overhead counters* are gated:
   ``service_warm_spawns_after_warmup`` must stay 0 (nothing spawns once the
-  pool is warm — the whole point), and the warm/cold repair counts must
+  pool is warm — the whole point), and the two drives' repair counts must
   agree with each other;
 * the ``scale-kg`` scenario (kg domain only) — the large-graph tier:
   kg@1500 in quick mode, kg@4000 in full mode, measured once (matching +
@@ -295,15 +296,16 @@ RECOVERY_SNAPSHOT_EVERY = 4
 
 
 def measure_service(workload) -> dict[str, Any]:
-    """The ``service-kg`` scenario: warm-pool vs cold-spawn repeated repair.
+    """The ``service-kg`` scenario: service tenant vs plain session.
 
     Both sides run the same drive — initial repair, then
     ``SERVICE_ROUNDS`` rounds of (commit deterministic edits → repair) —
     through the sharded backend at ``SHARDED_WORKERS`` with real spawn
-    pools.  Warm keeps one persistent pool with standing shard replicas
-    (deltas shipped between calls); cold spawns a fresh pool and rebuilds
-    every shard per call.  The per-call overhead counters are the gated
-    result: after the first warm call, spawns must be 0.
+    pools.  The service tenant (the ``service_warm_*`` keys) joins the
+    service's shared pool; the plain session (the ``service_cold_*`` keys)
+    creates and owns its pool.  Both keep standing shard replicas and ship
+    deltas between calls.  The per-call overhead counters are the gated
+    result: after the first service call, spawns must be 0.
     """
     from repro import telemetry
     from repro.api import RepairConfig, RepairSession
@@ -324,14 +326,14 @@ def measure_service(workload) -> dict[str, Any]:
             seconds.append(time.perf_counter() - started)
         return seconds, repairs
 
-    # warm: one persistent pool, standing replicas, delta shipping
+    # the service tenant: the shared pool, standing replicas, delta shipping
     spawns_at_warmup = 0
 
     def record_warmup():
         nonlocal spawns_at_warmup
         spawns_at_warmup = service.pool_stats["spawns"]
 
-    # telemetry collects the warm drive so the trajectory records repair
+    # telemetry collects the service drive so the trajectory records repair
     # latency percentiles (informational — not regression-gated; the wall
     # clocks above stay the gateable measurements)
     with telemetry.collecting() as (registry, _tracer):
@@ -350,17 +352,17 @@ def measure_service(workload) -> dict[str, Any]:
             coverage, balance = session.backend.ownership_coverage()
     repair_family = registry.get("repro_repair_seconds")
 
-    # cold: the per-call spawn pool (PR-3 behaviour)
-    cold_graph = workload.dirty.copy(name="bench-cold")
-    with RepairSession(cold_graph, workload.rules,
+    # a plain session on its own pool, closed with the session
+    plain_graph = workload.dirty.copy(name="bench-plain")
+    with RepairSession(plain_graph, workload.rules,
                        config=RepairConfig.sharded(
                            workers=SHARDED_WORKERS)) as session:
-        cold_seconds, cold_repairs = drive(session.repair, session.apply)
+        plain_seconds, plain_repairs = drive(session.repair, session.apply)
 
     return {
         "service_workers": SHARDED_WORKERS,
         "service_rounds": SERVICE_ROUNDS,
-        # histogram-estimated warm per-call latency percentiles (bucketed
+        # histogram-estimated service per-call latency percentiles (bucketed
         # linear interpolation — see repro.telemetry.quantile_from_buckets)
         "service_warm_p50_seconds": round(repair_family.quantile(0.50), 4),
         "service_warm_p95_seconds": round(repair_family.quantile(0.95), 4),
@@ -369,9 +371,9 @@ def measure_service(workload) -> dict[str, Any]:
         "service_warm_call_seconds": round(
             sum(warm_seconds[1:]) / max(len(warm_seconds) - 1, 1), 4),
         "service_cold_call_seconds": round(
-            sum(cold_seconds[1:]) / max(len(cold_seconds) - 1, 1), 4),
+            sum(plain_seconds[1:]) / max(len(plain_seconds) - 1, 1), 4),
         "service_warm_repairs": warm_repairs,
-        "service_cold_repairs": cold_repairs,
+        "service_cold_repairs": plain_repairs,
         "service_warm_spawns_total": stats["spawns"],
         "service_warm_spawns_after_warmup": spawns_after_warmup,
         "service_warm_binds": stats["binds"],
@@ -641,7 +643,7 @@ def measure_chaos(workload) -> dict[str, Any]:
     from repro.testing import Fault, FaultPlan
 
     def warm_config():
-        return RepairConfig.sharded(workers=CHAOS_WORKERS, warm=True,
+        return RepairConfig.sharded(workers=CHAOS_WORKERS,
                                     parallel_inline=True,
                                     min_partition_nodes=1)
 
@@ -822,14 +824,14 @@ def format_results(results: dict[str, Any]) -> str:
                 f"vs batched {row['batched_seconds']:.4f}s)")
         if "service_warm_call_seconds" in row:
             lines.append(
-                f"{'':8} service-{domain}@{row['scale']}: warm "
-                f"{row['service_warm_call_seconds']:.4f}s/call vs cold "
+                f"{'':8} service-{domain}@{row['scale']}: service "
+                f"{row['service_warm_call_seconds']:.4f}s/call vs session "
                 f"{row['service_cold_call_seconds']:.4f}s/call after warm-up "
                 f"({row['service_warm_first_seconds']:.4f}s; "
                 f"{row['service_warm_spawns_total']} spawns total, "
                 f"{row['service_warm_spawns_after_warmup']} after warm-up, "
                 f"{row['service_warm_binds']} binds, "
-                f"{row['service_warm_ships']} ships; warm p50/p95/p99 "
+                f"{row['service_warm_ships']} ships; service p50/p95/p99 "
                 f"{row['service_warm_p50_seconds']:.4f}/"
                 f"{row['service_warm_p95_seconds']:.4f}/"
                 f"{row['service_warm_p99_seconds']:.4f}s; ownership "

@@ -11,7 +11,8 @@ Steps:
 1. build a corrupted knowledge-graph workload;
 2. repair it sequentially with the fast backend (the reference);
 3. repair fresh copies with ``RepairConfig.sharded(workers=N)`` for each
-   requested worker count, through the real ``multiprocessing`` spawn pool;
+   requested worker count, through each session's worker pool of spawned
+   processes (closed with the session);
 4. verify every sharded result is element-for-element identical to the
    sequential one, and print the sweep: wall-clock, shard/fan-out shape,
    how many repairs the workers contributed vs the coordinator.

@@ -37,9 +37,9 @@ Batch repairing (`RepairConfig.fast().batched()`) applies independent
 violations under one merged maintenance pass; `SessionEvents` streams
 progress; `RepairConfig.naive()` / `RepairConfig.baseline()` switch the
 backend; `RepairConfig.sharded(workers=N)` fans a repair pass out over
-worker processes with deterministic delta merging (``docs/PARALLEL.md``),
-and ``warm=True`` keeps those workers and their shard replicas alive across
-repair calls.  Sessions are thread-safe and publish every committed change
+worker processes with deterministic delta merging (``docs/PARALLEL.md``);
+the session's worker pool keeps those workers and their shard replicas
+alive across repair calls until the session closes.  Sessions are thread-safe and publish every committed change
 on a replayable changefeed (``session.deltas()`` / ``on_commit``); the
 service layer (``from repro.service import GraphRepairService``) serves
 many named sessions concurrently over a shared warm pool

@@ -301,9 +301,9 @@ def build_backend(config, events=None, pool=None):
     naive loop with an optimised matcher (the E5 "incremental" ablation).
 
     ``pool`` is an optional shared :class:`repro.parallel.pool.WorkerPool`
-    for backends that keep workers warm across repair calls (the sharded
-    backend in warm mode); backends that cannot use one reject it, so a
-    misdirected pool fails loudly instead of silently going cold.
+    for backends that fan out over worker processes (the sharded backend;
+    without one it creates and owns its own); backends that cannot use one
+    reject it, so a misdirected pool fails loudly instead of being ignored.
     """
     name = config.backend
     if name == "fast" and not config.use_incremental:

@@ -7,8 +7,10 @@ the ``"sharded"`` backend name (select it with
 
 * :mod:`repro.parallel.partition` — rule-radius-aware graph partitioning
   into core/halo/frontier shards;
-* :mod:`repro.parallel.worker` — the spawn-safe worker protocol (shard
-  payloads, the pool, the inline executor);
+* :mod:`repro.parallel.worker` — the spawn-safe worker side (shard
+  payloads, results, standing replicas);
+* :mod:`repro.parallel.pool` — the supervised worker pool every fan-out
+  runs through (spawned processes, or inline for tests);
 * :mod:`repro.parallel.merge` — deterministic delta merging with id-space
   reservation and cross-shard conflict detection;
 * :mod:`repro.parallel.backend` — the :class:`ShardedRepairer` that plugs
@@ -30,10 +32,7 @@ from repro.parallel.partition import (
 )
 from repro.parallel.worker import (
     ShardResult,
-    ShardTask,
     ShardWorkerState,
-    execute_tasks,
-    run_shard_task,
     shard_from_payload,
     shard_payload,
 )
@@ -53,10 +52,7 @@ __all__ = [
     "ShardPlan",
     "partition_graph",
     "rule_radius",
-    "ShardTask",
     "ShardResult",
-    "execute_tasks",
-    "run_shard_task",
     "shard_payload",
     "shard_from_payload",
 ]

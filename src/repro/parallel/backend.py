@@ -7,9 +7,10 @@ but its ``run()`` turns one repair pass into a pipeline:
 
 1. **partition** — cut the primary graph into rule-radius-aware shards
    (:mod:`repro.parallel.partition`);
-2. **fan-out** — serialize each shard's working copy and repair all of them
-   in a ``multiprocessing`` spawn pool (:mod:`repro.parallel.worker`), each
-   worker applying only the violations its core owns;
+2. **fan-out** — bind each shard's working copy as a standing replica in
+   the supervised :class:`~repro.parallel.pool.WorkerPool` (later calls
+   ship committed deltas instead), then run one repair barrier in which
+   each worker proposes only the violations its core owns;
 3. **fan-in** — merge the per-shard deltas onto the primary graph with
    reserved ids and cross-shard conflict detection
    (:mod:`repro.parallel.merge`), then fold the whole merged delta into the
@@ -25,15 +26,16 @@ On conflict-free partitions the result is also equivalent to the sequential
 fast backend's (the parallel equivalence suite pins this across all three
 dataset generators).
 
-Degradation is graceful and explicit: ``workers <= 1``, a graph smaller than
-``min_partition_nodes``, or a partition that collapses to one shard all skip
-the fan-out entirely and behave exactly like the fast backend.  The warm
-path additionally degrades *per call* on failures (docs/RESILIENCE.md): a
-pool failure that supervision could not heal records one strike on the
-pool's circuit breaker and this call settles through the sequential drain
-(workers propose-then-revert, so a failed fan-out left the primary graph
-untouched and the drain owns the whole workload); an **open** breaker skips
-the fan-out up front until its half-open probe succeeds.  Correctness under
+Degradation is graceful and explicit: ``workers <= 1``, a ``max_repairs``
+budget, a graph smaller than ``min_partition_nodes``, or a partition that
+collapses to one shard all skip the fan-out and behave exactly like the
+fast backend (the last two are rechecked on every call until replicas
+stand).  Failures degrade *per call* (docs/RESILIENCE.md): a pool failure
+that supervision could not heal records one strike on the pool's circuit
+breaker and this call settles through the sequential drain (workers
+propose-then-revert, so a failed fan-out left the primary graph untouched
+and the drain owns the whole workload); an **open** breaker skips the
+fan-out up front until its half-open probe succeeds.  Correctness under
 fallback is exactly the sharded==sequential equivalence the parallel suite
 pins.
 """
@@ -49,14 +51,15 @@ from repro.graph.delta import GraphDelta, recording
 from repro.graph.property_graph import PropertyGraph
 from repro.matching.vf2 import MatchingStats
 from repro.parallel.merge import DeltaMerger, MergeOutcome
-from repro.parallel.partition import ShardPlan, partition_graph, rule_radius
-from repro.parallel.replica import project_delta
-from repro.parallel.worker import (
-    ShardResult,
-    ShardTask,
-    execute_tasks,
-    shard_payload,
+from repro.parallel.partition import (
+    Shard,
+    ShardPlan,
+    partition_graph,
+    rule_radius,
 )
+from repro.parallel.pool import WorkerPool
+from repro.parallel.replica import project_delta
+from repro.parallel.worker import ShardResult, shard_payload
 from repro.repair.events import MaintenanceEvent
 from repro.repair.executor import ExecutionOutcome
 from repro.repair.fast import FastRepairCore
@@ -97,12 +100,10 @@ class FanoutReport:
     # planner_replans in the coordinator's MatchingStats)
     shard_planner_plans: int = 0
     shard_planner_replans: int = 0
-    # -- warm-pool diagnostics (all zero on the cold path) --------------
-    #: this fan-out went through the persistent pool
-    warm: bool = False
+    # -- worker-pool diagnostics -----------------------------------------
     #: worker processes spawned during this run (0 after warm-up)
     pool_spawns: int = 0
-    #: full shard payloads shipped this run (cold binds + staleness rebinds)
+    #: full shard payloads shipped this run (first binds + staleness rebinds)
     pool_binds: int = 0
     #: incremental delta shipments this run
     pool_ships: int = 0
@@ -130,8 +131,8 @@ class FanoutReport:
         return self.shards > 0
 
 
-#: distinguishes pool shard keys of coexisting warm backends (a service
-#: shares one pool between many tenants' backends)
+#: distinguishes pool shard keys of coexisting backends (a service shares
+#: one pool between many tenants' backends)
 _BACKEND_SEQUENCE = itertools.count()
 
 
@@ -148,27 +149,42 @@ class _ReplicaTracker:
     bound: bool = False
     stale: bool = True          # an unbound replica is stale by definition
     stale_reason: str = "never bound"
+    #: the shard exactly as the partition cut it, until its first bind
+    #: extracts it (the partition's halo is current at that bind)
+    partitioned: Shard | None = None
+
+
+def execute_tasks(pool: WorkerPool, trackers: list[_ReplicaTracker],
+                  context: dict | None, rebinder) -> list[ShardResult]:
+    """The fan-out's one repair barrier: results in ``trackers`` order, each
+    stamped with its shard index.
+
+    Module-level rather than a method so that tracers which wrap
+    ``repro.parallel.backend.execute_tasks`` by name (``bench/spans.py``)
+    time the barrier as the fan-out stage.
+    """
+    results = pool.repair([tracker.key for tracker in trackers],
+                          context=context, rebinder=rebinder)
+    for tracker, result in zip(trackers, results):
+        result.shard_index = tracker.index
+    return results
 
 
 class ShardedRepairer:
     """Sharded multi-process repair behind the session's backend seam.
 
-    Two fan-out modes share the merge/settle machinery:
-
-    * **cold** (default): every ``run()`` spawns a fresh spawn-pool, ships
-      full shard payloads, and throws the workers away — stateless and
-      simple, but spawn + per-shard re-detection dominate repeated calls;
-    * **warm** (``config.warm_pool``): a persistent
-      :class:`~repro.parallel.pool.WorkerPool` holds standing shard replicas
-      across calls; committed deltas (session commits, merged repairs,
-      settle repairs) are projected per shard and shipped
-      (:mod:`repro.parallel.replica`), so worker detection is incremental
-      and nothing is spawned after warm-up.  A shard whose replica cannot
-      express a committed delta is rebound from a fresh extraction.
+    Every fan-out runs through one supervised
+    :class:`~repro.parallel.pool.WorkerPool` holding standing shard replicas
+    across calls: committed deltas (session commits, merged repairs, settle
+    repairs) are projected per shard and shipped
+    (:mod:`repro.parallel.replica`), so worker detection is incremental and
+    nothing is spawned after the first fan-out.  A shard whose replica
+    cannot express a committed delta is rebound from a fresh extraction.
 
     The pool may be supplied (a service sharing one pool across tenants) or
-    is created lazily and owned — an owned pool is closed with the backend,
-    so a session ``close()`` never leaks worker processes.
+    is created lazily at the first fan-out and owned — an owned pool is
+    closed with the backend, so a one-shot session gets a transient pool and
+    a session ``close()`` never leaks worker processes.
     """
 
     name = "sharded"
@@ -184,8 +200,7 @@ class ShardedRepairer:
         self._graph: PropertyGraph | None = None
         self._rules: RuleSet | None = None
         self._key_prefix = f"b{next(_BACKEND_SEQUENCE)}"
-        self._warm_plan: ShardPlan | None = None
-        self._warm_degraded = False
+        self._plan: ShardPlan | None = None
         self._replicas: dict[int, _ReplicaTracker] = {}
         self._unshipped: list[GraphDelta] = []
         #: pool generation the replicas were bound under; a mismatch means
@@ -213,26 +228,24 @@ class ShardedRepairer:
     def _track_unshipped(self, delta: GraphDelta) -> None:
         """Queue a committed primary delta for the standing replicas.
 
-        Only once replicas actually stand (a warm plan exists) and the
-        backend has not permanently degraded — before the first fan-out the
-        binds extract the then-current graph anyway, and a degraded backend
-        will never ship, so accumulating would leak without bound.
+        Only once replicas actually stand (a plan exists) — before the first
+        fan-out the binds extract the then-current graph anyway, and a
+        backend that never fans out would accumulate without bound.
         """
-        if delta and self._warm_plan is not None and not self._warm_degraded:
+        if delta and self._plan is not None:
             self._unshipped.append(delta)
 
     def maintain(self, delta: GraphDelta, source: str = "commit") -> MaintenanceEvent:
-        if self.config.warm_pool:
-            # committed external edits must reach the standing replicas too;
-            # shipped (projected per shard) before the next warm fan-out
-            self._track_unshipped(delta)
+        # committed external edits must reach the standing replicas too;
+        # shipped (projected per shard) before the next fan-out
+        self._track_unshipped(delta)
         return self.core.maintain(delta, source=source)
 
     def stats(self) -> MatchingStats:
         return self.core.stats
 
     def ownership_coverage(self) -> tuple[float, float]:
-        """``(coverage, balance)`` of the standing warm partition.
+        """``(coverage, balance)`` of the standing partition.
 
         *Coverage* is the fraction of the primary graph's current nodes that
         some shard core owns; nodes created since partitioning are adopted
@@ -240,7 +253,7 @@ class ShardedRepairer:
         growing tenant's coverage decays toward 0 — the trigger signal for
         online repartitioning.  *Balance* is the smallest owned core divided
         by the largest (1.0 = perfectly even shards).  ``(0.0, 0.0)`` before
-        the first warm fan-out or on a degraded/cold backend.
+        the first fan-out or on a backend that never fans out.
         """
         if not self._replicas or self._graph is None:
             return 0.0, 0.0
@@ -270,19 +283,7 @@ class ShardedRepairer:
     # ------------------------------------------------------------------
 
     def run(self) -> RepairReport:
-        self.last_fanout = FanoutReport()
-        if self.config.warm_pool:
-            return self._run_warm()
-        if self._should_fan_out():
-            self._fan_out()
-        # settle: frontier violations, conflict-rejected repairs, and
-        # anything the merge pass discovered — or the entire workload when
-        # the fan-out was skipped (graceful single-worker degradation)
-        self.core.drain()
-        return self.core.finalize()
-
-    def _run_warm(self) -> RepairReport:
-        """One warm repair pass: ship → fan out → merge → settle.
+        """One repair pass: ship → fan out → merge → settle.
 
         Every primary mutation of this run — merge replays and settle
         repairs — is recorded and queued for the replicas, so the *next*
@@ -295,16 +296,17 @@ class ShardedRepairer:
         mutations on the primary graph, and the drain repairs everything
         the fan-out would have.
         """
+        self.last_fanout = FanoutReport()
         with recording(self._graph) as recorder:
-            if self._should_fan_out_warm():
+            if self._should_fanout():
                 pool = self._ensure_pool()
                 if not pool.breaker.allow():
                     self._note_fallback("breaker-open",
                                         f"circuit breaker {pool.breaker.state}"
-                                        ": warm fan-out refused")
+                                        ": fan-out refused")
                 else:
                     try:
-                        self._fan_out_warm()
+                        self._fanout(pool)
                     except WorkerPoolError as exc:
                         pool.breaker.record_failure()
                         # the pool shut itself down; the standing replicas
@@ -315,6 +317,9 @@ class ShardedRepairer:
                         self._note_fallback("pool-failure", str(exc))
                     else:
                         pool.breaker.record_success()
+            # settle: frontier violations, conflict-rejected repairs, and
+            # anything the merge pass discovered — or the entire workload
+            # when the fan-out was skipped or failed
             self.core.drain()
         self._track_unshipped(recorder.drain())
         return self.core.finalize()
@@ -340,61 +345,41 @@ class ShardedRepairer:
         sequential drain, whose budget accounting is exact."""
         return self.config.workers > 1 and self.config.max_repairs is None
 
-    def _should_fan_out(self) -> bool:
+    def _should_fanout(self) -> bool:
         if not self._fan_out_viable():
             return False
-        if self._graph.num_nodes < self.config.min_partition_nodes:
-            return False
-        return self.core.has_pending()
-
-    def _partition(self) -> ShardPlan:
-        """One shard per worker, with a halo of the rule set's reach."""
-        return partition_graph(self._graph, self.config.workers,
-                               rule_radius(self._rules))
-
-    # ------------------------------------------------------------------
-    # the warm path
-    # ------------------------------------------------------------------
-
-    def _should_fan_out_warm(self) -> bool:
-        if self._warm_degraded:
-            return False
-        if not self._fan_out_viable():
-            # permanent: the config cannot change over a backend's life
-            self._warm_degraded = True
-            return False
-        if self._warm_plan is None \
+        if self._plan is None \
                 and self._graph.num_nodes < self.config.min_partition_nodes:
-            # too small to be worth partitioning; once replicas stand, they
-            # keep serving even if the graph later shrinks below the floor
-            self._warm_degraded = True
+            # too small to be worth partitioning (rechecked every call: a
+            # growing graph crosses the floor later); once replicas stand,
+            # they keep serving even if the graph shrinks below it
             return False
         return self.core.has_pending()
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> WorkerPool:
         if self.pool is None:
-            from repro.parallel.pool import WorkerPool
-
             self.pool = WorkerPool(self.config.workers,
                                    inline=self.config.parallel_inline)
             self._owns_pool = True
         return self.pool
 
-    def _ensure_warm_plan(self) -> ShardPlan | None:
-        if self._warm_plan is not None:
-            return self._warm_plan
-        plan = self._partition()
+    def _ensure_plan(self) -> ShardPlan | None:
+        """The standing partition, cut now if none stands yet: one shard per
+        worker, with a halo of the rule set's reach.  ``None`` when the
+        graph collapses to one shard (it would just serialise through a
+        worker; the next call partitions again)."""
+        if self._plan is not None:
+            return self._plan
+        plan = partition_graph(self._graph, self.config.workers,
+                               rule_radius(self._rules))
         if len(plan) <= 1:
-            # one shard would just serialise through a worker; stay on the
-            # plain drain for the backend's lifetime
-            self._warm_degraded = True
             return None
-        self._warm_plan = plan
+        self._plan = plan
         for shard in plan.shards:
             self._replicas[shard.index] = _ReplicaTracker(
                 index=shard.index, namespace=shard.namespace,
                 key=f"{self._key_prefix}:{shard.index}",
-                core=set(shard.core))
+                core=shard.core, partitioned=shard)
         return plan
 
     def _halo_intact(self, tracker: _ReplicaTracker, radius: int,
@@ -415,19 +400,27 @@ class ShardedRepairer:
                 if self._graph.has_node(node_id)}
         return self._graph.neighborhood(core, hops=radius) <= members
 
-    def _rebind_payload(self, tracker: _ReplicaTracker,
-                        radius: int) -> tuple[dict, frozenset[str]]:
-        """A fresh working-copy payload for one replica, against the *current*
-        graph: surviving core nodes plus a freshly computed radius halo."""
-        graph = self._graph
-        core = {node_id for node_id in tracker.core if graph.has_node(node_id)}
-        tracker.core = core
-        halo = graph.neighborhood(core, hops=radius) - core
-        tracker.nodes = core | halo
-        working = graph.subgraph(tracker.nodes,
-                                 name=f"{graph.name}-{tracker.namespace}",
-                                 id_namespace=tracker.namespace)
-        return shard_payload(working), frozenset(core)
+    def _bind_payload(self, tracker: _ReplicaTracker,
+                      radius: int) -> tuple[dict, frozenset[str]]:
+        """A working-copy payload for one replica against the *current*
+        graph, extracted through :meth:`Shard.extract`.
+
+        A first bind extracts the shard as partitioned; a rebind builds a
+        shard of the surviving core nodes and a freshly computed radius
+        halo.
+        """
+        shard, tracker.partitioned = tracker.partitioned, None
+        if shard is None:
+            graph = self._graph
+            core = {node_id for node_id in tracker.core
+                    if graph.has_node(node_id)}
+            shard = Shard(index=tracker.index, core=core,
+                          halo=graph.neighborhood(core, hops=radius) - core,
+                          frontier=set())
+        tracker.core = shard.core
+        tracker.nodes = shard.node_ids()
+        return (shard_payload(shard.extract(self._graph)),
+                frozenset(shard.core))
 
     def _recovery_rebinder(self, key: str) -> tuple:
         """Fresh bind arguments for ``key`` — the pool's mid-barrier recovery
@@ -439,31 +432,30 @@ class ShardedRepairer:
         is exactly as it was when the barrier started.
         """
         tracker = next(t for t in self._replicas.values() if t.key == key)
-        payload, core = self._rebind_payload(tracker, self._warm_plan.radius)
+        payload, core = self._bind_payload(tracker, self._plan.radius)
         return (payload, tracker.namespace, core, self._rules, self.config)
 
-    def _fan_out_warm(self) -> None:
+    def _fanout(self, pool: WorkerPool) -> None:
         config = self.config
-        pool = self._ensure_pool()
-        plan = self._ensure_warm_plan()
-        if plan is None:
-            return
-
-        fanout = self.last_fanout
-        fanout.warm = True
-        fanout.shards = len(plan)
-        fanout.radius = plan.radius
-        fanout.workers = config.workers
-        fanout.used_processes = not config.parallel_inline
-        fanout.cut_edges = plan.cut_edges
-        fanout.halo_fraction = plan.halo_fraction
         stats_before = pool.stats.as_dict()
 
         # 0. a pool restart (failure recovery, or a shared pool another
         #    tenant's error shut down) discards every standing replica; a
         #    mid-barrier worker respawn discards only that worker's
-        #    replicas, which the pool reports per shard key
+        #    replicas, which the pool reports per shard key.  Started before
+        #    partitioning, so a fresh plan is bound within this call while
+        #    its halos are current.
         generation = pool.start()
+        plan = self._ensure_plan()
+        if plan is None:
+            return
+        fanout = self.last_fanout
+        fanout.shards = len(plan)
+        fanout.radius = plan.radius
+        fanout.workers = config.workers
+        fanout.used_processes = not pool.inline
+        fanout.cut_edges = plan.cut_edges
+        fanout.halo_fraction = plan.halo_fraction
         if generation != self._pool_generation:
             if self._pool_generation >= 0:
                 for tracker in self._replicas.values():
@@ -520,8 +512,10 @@ class ShardedRepairer:
                     tracker.stale = True
                     tracker.stale_reason = "worker reported divergence"
         binds: list[tuple] = []
-        for tracker in self._replicas.values():
-            if tracker.stale:
+        with self.core.report.timings.measure("shard-extraction"):
+            for tracker in self._replicas.values():
+                if not tracker.stale:
+                    continue
                 if tracker.bound:
                     fanout.stale_rebinds += 1
                     log_event(_log, "warning", "replica-stale-rebind",
@@ -530,9 +524,9 @@ class ShardedRepairer:
                     if telemetry.TELEMETRY.enabled:
                         telemetry.inc("repro_pool_stale_rebinds_total",
                                       shard=tracker.key)
-                payload, core = self._rebind_payload(tracker, plan.radius)
+                payload, core = self._bind_payload(tracker, plan.radius)
                 binds.append((tracker.key, payload, tracker.namespace,
-                              core, self._rules, self.config))
+                              core, self._rules, config))
         with self.core.report.timings.measure("shard-bind"):
             pool.bind_all(binds)
         for tracker in self._replicas.values():
@@ -546,14 +540,11 @@ class ShardedRepairer:
         #    shipped spans re-parent under it.
         trackers = sorted(self._replicas.values(), key=lambda t: t.index)
         with telemetry.span("repair.fanout", tenant=self._graph.name,
-                            mode="warm", shards=len(trackers)):
+                            shards=len(trackers)):
             context = telemetry.current_context()
             with self.core.report.timings.measure("shard-fanout"):
-                results = pool.repair([tracker.key for tracker in trackers],
-                                      context=context,
-                                      rebinder=self._recovery_rebinder)
-            for tracker, result in zip(trackers, results):
-                result.shard_index = tracker.index
+                results = execute_tasks(pool, trackers, context,
+                                        self._recovery_rebinder)
             stats_after = pool.stats.as_dict()
             fanout.pool_spawns = stats_after["spawns"] - stats_before["spawns"]
             fanout.pool_binds = stats_after["binds"] - stats_before["binds"]
@@ -575,39 +566,6 @@ class ShardedRepairer:
                                 tenant=self._graph.name)
             telemetry.gauge_set("repro_pool_shard_balance", balance,
                                 tenant=self._graph.name)
-
-    def _fan_out(self) -> None:
-        config = self.config
-        plan = self._partition()
-        if len(plan) <= 1:
-            return
-
-        fanout = self.last_fanout
-        fanout.shards = len(plan)
-        fanout.radius = plan.radius
-        fanout.workers = config.workers
-        fanout.used_processes = not config.parallel_inline
-        fanout.cut_edges = plan.cut_edges
-        fanout.halo_fraction = plan.halo_fraction
-
-        with telemetry.span("repair.fanout", tenant=self._graph.name,
-                            mode="cold", shards=len(plan)):
-            context = telemetry.current_context()
-            with self.core.report.timings.measure("shard-extraction"):
-                tasks = [
-                    ShardTask(shard_index=shard.index,
-                              graph_payload=shard_payload(shard.extract(self._graph)),
-                              core=frozenset(shard.core),
-                              namespace=shard.namespace,
-                              rules=self._rules,
-                              config=config,
-                              telemetry_ctx=context)
-                    for shard in plan.shards
-                ]
-            with self.core.report.timings.measure("shard-fanout"):
-                results = execute_tasks(tasks, workers=config.workers,
-                                        use_processes=not config.parallel_inline)
-            self._fan_in(results)
 
     def _fan_in(self, results: list[ShardResult]) -> None:
         fanout = self.last_fanout

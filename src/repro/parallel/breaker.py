@@ -1,9 +1,9 @@
-"""Circuit breaker guarding the warm fan-out path.
+"""Circuit breaker guarding the sharded fan-out.
 
 The breaker sits on a :class:`~repro.parallel.pool.WorkerPool` (one per
 pool, so a service-shared pool shares one breaker across tenants) and is
 consulted by :class:`~repro.parallel.backend.ShardedRepairer` before each
-warm fan-out:
+fan-out:
 
 * **closed** — normal operation; every fan-out is allowed.
 * **open** — entered after ``failure_threshold`` consecutive pool

@@ -1,10 +1,7 @@
-"""The persistent worker pool: warm shard workers across repair calls.
+"""The supervised worker pool every sharded fan-out runs through.
 
-The cold fan-out (:func:`repro.parallel.worker.execute_tasks`) spawns a
-fresh process pool per ``run()`` and ships every shard's full working copy
-each time — spawn cost plus a complete per-shard re-detection dominate the
-fan-out on anything but huge graphs (measured in the ``sharded-kg``
-scenario).  A :class:`WorkerPool` amortises both:
+A :class:`WorkerPool` keeps shard workers warm across repair calls, so a
+long-lived session pays process spawn and per-shard detection once:
 
 * worker **processes** are spawned once (lazily, at the first bind) and stay
   alive until :meth:`close` — after warm-up a repair call spawns nothing;
@@ -117,7 +114,7 @@ class PoolStats:
 
     #: worker processes spawned over the pool's lifetime (respawns included)
     spawns: int = 0
-    #: full shard payloads shipped (cold binds + staleness rebinds)
+    #: full shard payloads shipped (first binds + staleness rebinds)
     binds: int = 0
     #: incremental committed-delta shipments
     deltas_shipped: int = 0
@@ -137,7 +134,7 @@ class PoolStats:
     command_timeouts: int = 0
     #: shard commands re-driven after a death or a failed repair
     retries: int = 0
-    #: warm repairs the owning backend degraded to the sequential drain
+    #: repairs the owning backend degraded to the sequential drain
     #: (incremented by the backend, surfaced here so service health and
     #: benchmarks read one stats object)
     fallback_repairs: int = 0
@@ -188,7 +185,7 @@ def _handle_command(states: dict, message: tuple) -> tuple[str, object]:
             return "ok", states[key].repair()
         with telemetry.worker_collection(context, process=f"shard-{key}") \
                 as telemetry_box:
-            with telemetry.span("shard.repair", shard=key, mode="warm"):
+            with telemetry.span("shard.repair", shard=key):
                 result = states[key].repair()
         result.telemetry = telemetry_box["telemetry"]
         result.spans = telemetry_box["spans"]
@@ -448,7 +445,7 @@ class WorkerPool:
         """Drain (and return) the subset of ``keys`` whose standing replica
         vanished with a respawned worker since the last call.
 
-        Coordinators call this at the start of a warm fan-out: unlike a
+        Coordinators call this at the start of a fan-out: unlike a
         generation bump (pool closed and reopened — *everything* gone), a
         mid-barrier respawn only destroys the dead worker's replicas, so
         only those shards need a rebind.
@@ -770,7 +767,7 @@ class WorkerPool:
                   lost_replicas=len(lost), generation=self.generation)
 
     # ------------------------------------------------------------------
-    # the warm protocol
+    # the shard protocol
     # ------------------------------------------------------------------
 
     def bind(self, key: str, payload: dict, namespace: str,

@@ -108,7 +108,7 @@ class ReplicaView:
     primary delta against it, fold the membership changes in on success, and
     flag the view **stale** — rebind from a fresh extraction of the primary
     (or, for a remote read replica, a fresh snapshot) — when a change cannot
-    be expressed on the slice.  Used by the warm shard coordinator's
+    be expressed on the slice.  Used by the sharded coordinator's
     semantics and by scoped cross-process read replicas
     (:class:`repro.durability.replication.ReadReplica`).
     """

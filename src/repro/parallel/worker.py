@@ -1,37 +1,27 @@
-"""The sharded backend's worker protocol: task/result shapes and executors.
+"""The sharded backend's worker side: shard payloads, results, replicas.
 
-One :class:`ShardTask` is everything a worker process needs to repair one
-shard with no access to the coordinator's memory:
+A worker process repairs its shard with no access to the coordinator's
+memory.  Everything it needs arrives in a
+:class:`~repro.parallel.pool.WorkerPool` ``bind`` message:
 
 * the shard's working copy as a **plain-dict payload**
-  (:func:`repro.graph.io.graph_to_dict`) rather than a live
-  :class:`~repro.graph.PropertyGraph` — no listeners, no shared indexes,
-  nothing process-specific, safe for the ``spawn`` start method on every
-  platform;
+  (:func:`shard_payload`, i.e. :func:`repro.graph.io.graph_to_dict`) rather
+  than a live :class:`~repro.graph.PropertyGraph` — no listeners, no shared
+  indexes, nothing process-specific, safe for the ``spawn`` start method on
+  every platform;
 * the pickled rule set and :class:`~repro.repair.config.RepairConfig`
   (both are declarative object trees — patterns, predicate dataclasses,
   cost models — with no callables, by design);
 * the shard's **core** node ids (ownership filter) and id **namespace**.
 
-:func:`run_shard_task` is the importable top-level entry point the pool maps
-over tasks; it rebuilds the graph, runs
-:func:`repro.repair.fast.repair_shard`, and ships back a :class:`ShardResult`
-whose deltas still live in the shard's namespaced id space — translating them
-into the primary graph's id space is the merger's job.
-
-Two executors run the tasks:
-
-* :func:`execute_tasks` with ``use_processes=True`` fans out over a
-  ``multiprocessing`` *spawn* pool (spawn, not fork: deterministic, no
-  inherited locks/listeners, identical semantics on Linux/macOS/Windows);
-* ``use_processes=False`` runs the same serialization round-trip inline —
-  bit-identical results without process startup, used for 1-worker
-  degradation and by the equivalence tests.
+The worker rebuilds the graph into a standing :class:`ShardWorkerState`
+replica and answers each ``repair`` command with a :class:`ShardResult`
+whose deltas still live in the shard's namespaced id space — translating
+them into the primary graph's id space is the merger's job.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 
@@ -39,28 +29,8 @@ from repro.graph.delta import GraphDelta, apply_inverse, recording, replay_delta
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.property_graph import PropertyGraph
 from repro.repair.config import RepairConfig
-from repro.repair.fast import (
-    AppliedRepair,
-    FastRepairCore,
-    make_ownership_filter,
-    repair_shard,
-)
+from repro.repair.fast import AppliedRepair, FastRepairCore, make_ownership_filter
 from repro.rules.grr import RuleSet
-
-
-@dataclass
-class ShardTask:
-    """One shard's work order (fully self-contained and spawn-safe)."""
-
-    shard_index: int
-    graph_payload: dict
-    core: frozenset[str]
-    namespace: str
-    rules: RuleSet
-    config: RepairConfig
-    #: coordinator trace context (``{"trace_id", "span_id"}``) when telemetry
-    #: is collecting; ``None`` keeps the worker's telemetry path allocation-free
-    telemetry_ctx: dict | None = None
 
 
 @dataclass
@@ -107,39 +77,8 @@ def shard_from_payload(payload: dict, namespace: str) -> PropertyGraph:
     return graph_from_dict(payload, id_namespace=namespace)
 
 
-def run_shard_task(task: ShardTask) -> ShardResult:
-    """Repair one shard end to end (the pool's map function)."""
-    from repro import telemetry
-
-    started = time.perf_counter()
-    with telemetry.worker_collection(
-            task.telemetry_ctx,
-            process=f"shard-{task.shard_index}") as telemetry_box:
-        with telemetry.span("shard.repair", shard=task.shard_index,
-                            mode="cold"):
-            graph = shard_from_payload(task.graph_payload, task.namespace)
-            repairs, report = repair_shard(graph, task.rules,
-                                           config=task.config,
-                                           owned_nodes=task.core)
-    return ShardResult(
-        telemetry=telemetry_box["telemetry"],
-        spans=telemetry_box["spans"],
-        shard_index=task.shard_index,
-        repairs=repairs,
-        violations_detected=report.violations_detected,
-        repairs_applied=report.repairs_applied,
-        repairs_failed=report.repairs_failed,
-        nodes_tried=report.matching_stats.nodes_tried,
-        value_bucket_candidates=report.matching_stats.value_bucket_candidates,
-        range_bucket_candidates=report.matching_stats.range_bucket_candidates,
-        planner_plans=report.matching_stats.planner_plans,
-        planner_replans=report.matching_stats.planner_replans,
-        elapsed_seconds=time.perf_counter() - started,
-    )
-
-
 class ShardWorkerState:
-    """One standing shard replica inside a warm pool worker.
+    """One standing shard replica inside a pool worker.
 
     Holds the shard's working copy and a persistent
     :class:`~repro.repair.fast.FastRepairCore` across repair calls — the
@@ -218,22 +157,3 @@ class ShardWorkerState:
 
     def close(self) -> None:
         self.core_state.close()
-
-
-def execute_tasks(tasks: list[ShardTask], workers: int,
-                  use_processes: bool = True) -> list[ShardResult]:
-    """Run every task and return results in task order (deterministic fan-in).
-
-    ``pool.map`` preserves input order regardless of completion order, so the
-    merger always sees shard 0's repairs before shard 1's — scheduling jitter
-    cannot change the outcome.  With ``use_processes=False`` (or a single
-    task) the tasks run inline in task order, exercising the identical
-    serialized path without process startup cost.
-    """
-    if not tasks:
-        return []
-    if not use_processes or workers <= 1 or len(tasks) == 1:
-        return [run_shard_task(task) for task in tasks]
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(run_shard_task, tasks, chunksize=1)

@@ -7,12 +7,7 @@ from repro.repair.cost import DEFAULT_COST_MODEL, CostModel
 from repro.repair.detector import DetectionResult, ViolationDetector, detect_violations
 from repro.repair.events import MaintenanceEvent, RepairEvents
 from repro.repair.executor import ExecutionOutcome, RepairExecutor
-from repro.repair.fast import (
-    AppliedRepair,
-    FastRepairCore,
-    FastRepairer,
-    repair_shard,
-)
+from repro.repair.fast import AppliedRepair, FastRepairCore, FastRepairer
 from repro.repair.naive import NaiveRepairer
 from repro.repair.provenance import RepairAction, RepairLog
 from repro.repair.report import RepairReport
@@ -38,5 +33,4 @@ __all__ = [
     "NaiveRepairer",
     "FastRepairer",
     "AppliedRepair",
-    "repair_shard",
 ]

@@ -42,9 +42,9 @@ class RepairConfig:
     * ``batch_repairs`` / ``max_batch`` — drain the violation queue in
       batches of region-independent violations maintained under one merged
       incremental pass (fast and sharded backends);
-    * ``workers`` / ``parallel_inline`` / ``warm_pool`` /
-      ``min_partition_nodes`` — the ``"sharded"`` backend's fan-out knobs
-      (see :meth:`sharded` and :mod:`repro.parallel`).
+    * ``workers`` / ``parallel_inline`` / ``min_partition_nodes`` — the
+      ``"sharded"`` backend's fan-out knobs (see :meth:`sharded` and
+      :mod:`repro.parallel`).
 
     Budgets and ordering: ``cost_model`` orders pending violations (cheapest
     first within a priority tier); ``max_repairs`` caps the repairs of one
@@ -69,13 +69,10 @@ class RepairConfig:
     #: worker processes (and shards) for the fan-out; <=1 degrades to the
     #: plain fast drain
     workers: int = 1
-    #: run shard tasks inline (same serialized path, no processes) — for
-    #: tests and for hosts where process pools are unavailable
+    #: run the worker pool inline (same protocol and serialized payloads,
+    #: no processes) — for tests and for hosts where processes are
+    #: unavailable
     parallel_inline: bool = False
-    #: keep a persistent :class:`repro.parallel.pool.WorkerPool` warm across
-    #: repair calls: shard replicas stand in the workers, committed deltas
-    #: are shipped to them, and nothing is spawned after warm-up
-    warm_pool: bool = False
     #: below this many nodes the fan-out is skipped (partition overhead
     #: would dominate any conceivable win)
     min_partition_nodes: int = 64
@@ -105,20 +102,17 @@ class RepairConfig:
         return cls(backend="greedy").with_options(**overrides)
 
     @classmethod
-    def sharded(cls, workers: int = 4, warm: bool = False,
-                **overrides) -> "RepairConfig":
+    def sharded(cls, workers: int = 4, **overrides) -> "RepairConfig":
         """The sharded multi-process backend (:mod:`repro.parallel`).
 
         All of the fast backend's optimisations stay on; one repair pass
         fans out over ``workers`` shard processes and fans back in under a
         single incremental-maintenance pass.  ``workers=1`` degrades to the
-        plain fast drain.  ``warm=True`` keeps a persistent worker pool with
-        standing shard replicas across repair calls (the long-lived
-        session / service shape): spawn and per-shard re-detection costs are
-        paid once, then committed deltas ship incrementally.
+        plain fast drain.  The session's worker pool keeps standing shard
+        replicas across repair calls: spawn and per-shard detection are
+        paid at the first fan-out, then committed deltas ship incrementally.
         """
-        return cls(backend="sharded", workers=workers,
-                   warm_pool=warm).with_options(**overrides)
+        return cls(backend="sharded", workers=workers).with_options(**overrides)
 
     @classmethod
     def ablation(cls, disable: str) -> "RepairConfig":

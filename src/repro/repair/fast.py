@@ -565,9 +565,8 @@ class FastRepairer:
 
 
 def make_ownership_filter(graph: PropertyGraph, owned: frozenset[str]):
-    """The priority-safe shard ownership ``accept`` filter (one
-    implementation shared by :func:`repair_shard` and the warm pool's
-    standing shard workers).
+    """The priority-safe shard ownership ``accept`` filter of the pool's
+    standing shard workers (:class:`~repro.parallel.worker.ShardWorkerState`).
 
     Accepts violations whose matches bind owned nodes exclusively.  Once a
     still-valid violation is deferred — not owned, or overlapping an earlier
@@ -588,41 +587,3 @@ def make_ownership_filter(graph: PropertyGraph, owned: frozenset[str]):
         return False
 
     return accept
-
-
-def repair_shard(graph: PropertyGraph, rules: RuleSet,
-                 config: RepairConfig | None = None,
-                 owned_nodes: frozenset[str] | set[str] | None = None,
-                 ) -> tuple[list[AppliedRepair], RepairReport]:
-    """The shard-executable entry point of the fast algorithm.
-
-    Runs one full :class:`FastRepairCore` lifecycle over ``graph`` —
-    typically a shard working copy extracted by
-    :mod:`repro.parallel.partition` — restricted, when ``owned_nodes`` is
-    given, to violations whose matches bind only owned nodes (everything a
-    repair mutates stays within one hop of its bound nodes, so owned repairs
-    cannot reach past the shard's halo).
-
-    Ownership is *priority-safe*: the queue pops in global priority order,
-    and once a still-valid violation is deferred — not owned, or overlapping
-    an earlier deferral — its region is blocked and every later violation
-    touching that region is deferred too.  A deferred higher-priority repair
-    could invalidate (or reshape) an overlapping lower-priority one, so the
-    worker must not pre-empt the coordinator inside such regions; this is
-    what keeps shard-local decisions identical to the sequential drain's.
-
-    Returns the applied repairs in application order plus the core's
-    finalized report; the graph is mutated in place, and the deltas inside
-    the :class:`AppliedRepair` records are what a coordinator replays onto
-    the primary graph.
-    """
-    core = FastRepairCore(graph, rules, config=config)
-    try:
-        collected: list[AppliedRepair] = []
-        accept = None
-        if owned_nodes is not None:
-            accept = make_ownership_filter(graph, frozenset(owned_nodes))
-        core.drain(accept=accept, collector=collected)
-        return collected, core.finalize()
-    finally:
-        core.close()

@@ -152,12 +152,12 @@ class GraphRepairService:
         """Open a named session over ``graph`` and start serving it.
 
         ``shards=K`` (with no explicit config) serves the graph partitioned:
-        the session runs the warm sharded backend — K rule-radius-aware
-        shards (:mod:`repro.parallel.partition`) with standing replicas in
-        the shared worker pool, committed deltas shipped to the shards that
-        own the edited nodes, and a deterministic cross-shard settle through
-        the :class:`~repro.parallel.merge.DeltaMerger`.  An explicit sharded
-        ``config`` with ``warm_pool=True`` joins the shared pool likewise.
+        the session runs the sharded backend — K rule-radius-aware shards
+        (:mod:`repro.parallel.partition`) with standing replicas in the
+        shared worker pool, committed deltas shipped to the shards that own
+        the edited nodes, and a deterministic cross-shard settle through the
+        :class:`~repro.parallel.merge.DeltaMerger`.  An explicit sharded
+        ``config`` joins the shared pool likewise.
 
         ``durable=DurabilityConfig(dir=...)`` makes the tenant crash-safe:
         an opening snapshot is written, and every committed record is
@@ -213,11 +213,10 @@ class GraphRepairService:
             if config is not None:
                 raise ServiceError("pass either shards= or an explicit "
                                    "config, not both")
-            config = RepairConfig.sharded(workers=shards, warm=True,
+            config = RepairConfig.sharded(workers=shards,
                                           parallel_inline=self._inline_pool)
         pool = None
-        if config is not None and config.backend == "sharded" \
-                and config.warm_pool:
+        if config is not None and config.backend == "sharded":
             pool = self._ensure_pool(config.workers)
         return self.sessions.open(name, graph, rules, config=config,
                                   events=events, pool=pool)

@@ -113,11 +113,11 @@ CATALOGUE: dict[str, tuple[str, str, tuple[str, ...]]] = {
         "histogram", "Per-phase wall time (index-build, initial-detection, "
         "validation, execution, incremental-maintenance, shard-*)",
         ("phase",)),
-    # warm pool
+    # worker pool
     "repro_pool_spawns_total": (
-        "counter", "Worker processes spawned by warm pools", ()),
+        "counter", "Worker processes spawned by worker pools", ()),
     "repro_pool_binds_total": (
-        "counter", "Full shard payloads bound (cold binds + rebinds)",
+        "counter", "Full shard payloads bound (first binds + rebinds)",
         ("shard",)),
     "repro_pool_ships_total": (
         "counter", "Committed deltas shipped to standing replicas",
@@ -130,10 +130,10 @@ CATALOGUE: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "repro_pool_stale_rebinds_total": (
         "counter", "Standing replicas rebound after staleness", ("shard",)),
     "repro_pool_ownership_coverage": (
-        "gauge", "Fraction of a warm tenant's nodes owned by their home "
+        "gauge", "Fraction of a sharded tenant's nodes owned by their home "
         "shard (the rest settle at the coordinator)", ("tenant",)),
     "repro_pool_shard_balance": (
-        "gauge", "Smallest-to-largest owned-core ratio across a warm "
+        "gauge", "Smallest-to-largest owned-core ratio across a sharded "
         "tenant's shards (1.0 = perfectly balanced)", ("tenant",)),
     "repro_pool_lease_wait_seconds": (
         "histogram", "Time a coordinator waited for its fair pool lease",

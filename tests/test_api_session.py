@@ -164,13 +164,18 @@ class TestRepairConfig:
             RepairConfig.ablation("warp-drive")
 
     def test_fields(self):
-        """One config, 17 knobs: a new field must be argued for here."""
+        """One config, 16 knobs: a new field must be argued for here."""
         assert [field.name for field in dataclasses.fields(RepairConfig)] == [
             "backend", "use_candidate_index", "use_decomposition",
             "use_incremental", "use_cost_planner", "batch_repairs",
             "max_batch", "cost_model", "max_repairs", "match_limit_per_rule",
-            "workers", "parallel_inline", "warm_pool", "min_partition_nodes",
+            "workers", "parallel_inline", "min_partition_nodes",
             "max_rounds", "check_consistency", "require_consistency"]
+
+    def test_sharded_has_one_fanout_path(self):
+        """The worker pool is the only fan-out: there is no mode to pick."""
+        with pytest.raises(TypeError):
+            RepairConfig.sharded(workers=2, warm=True)
 
     def test_session_rejects_other_config_types(self, tiny_kg, kg_rules):
         with pytest.raises(TypeError, match="docs/MIGRATION.md"):

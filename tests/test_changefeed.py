@@ -108,10 +108,9 @@ class TestReplicaReconstruction:
     @pytest.mark.parametrize("config_factory", [
         RepairConfig.fast,
         lambda: RepairConfig.fast().batched(),
-        lambda: RepairConfig.sharded(workers=2, warm=True,
-                                     parallel_inline=True,
+        lambda: RepairConfig.sharded(workers=2, parallel_inline=True,
                                      min_partition_nodes=1),
-    ], ids=["fast", "batched", "warm-sharded"])
+    ], ids=["fast", "batched", "sharded"])
     def test_feed_rebuilds_exact_graph(self, workload, config_factory):
         opening = workload.dirty.copy(name="opening")
         live = opening.copy(name="live")

@@ -14,14 +14,21 @@ the real-process SIGKILL-mid-repair smoke test that CI runs on every push.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import RepairConfig, RepairSession
 from repro.durability import DurabilityConfig, TenantDurability, WriteAheadLog, recover
 from repro.exceptions import AdmissionError, DurabilityError, IngestError
@@ -35,9 +42,8 @@ from repro.testing import Fault, FaultPlan, InjectedFault
 from repro.testing import faults as faults_module
 
 
-def _warm_config(workers: int = 2, **overrides) -> RepairConfig:
-    return RepairConfig.sharded(workers=workers, warm=True,
-                                parallel_inline=True,
+def _inline_config(workers: int = 2, **overrides) -> RepairConfig:
+    return RepairConfig.sharded(workers=workers, parallel_inline=True,
                                 min_partition_nodes=1, **overrides)
 
 
@@ -236,7 +242,7 @@ class TestInlineChaos:
         graph = small_kg_workload.dirty.copy(name="inline-crash")
         with WorkerPool(workers=2, inline=True, fault_plan=plan) as pool:
             with RepairSession(graph, small_kg_workload.rules,
-                               config=_warm_config(), pool=pool) as session:
+                               config=_inline_config(), pool=pool) as session:
                 session.repair()
                 fanout = session.backend.last_fanout
                 assert not fanout.fallback
@@ -253,7 +259,7 @@ class TestInlineChaos:
         graph = small_kg_workload.dirty.copy(name="inline-error")
         with WorkerPool(workers=2, inline=True, fault_plan=plan) as pool:
             with RepairSession(graph, small_kg_workload.rules,
-                               config=_warm_config(), pool=pool) as session:
+                               config=_inline_config(), pool=pool) as session:
                 session.repair()
                 assert not session.backend.last_fanout.fallback
                 assert pool.stats.retries == 1
@@ -270,7 +276,7 @@ class TestInlineChaos:
         graph = small_kg_workload.dirty.copy(name="inline-fallback")
         with WorkerPool(workers=2, inline=True, fault_plan=plan) as pool:
             with RepairSession(graph, small_kg_workload.rules,
-                               config=_warm_config(), pool=pool) as session:
+                               config=_inline_config(), pool=pool) as session:
                 report = session.repair()
                 fanout = session.backend.last_fanout
                 assert fanout.fallback
@@ -296,7 +302,7 @@ class TestInlineChaos:
         with WorkerPool(workers=2, inline=True, fault_plan=plan,
                         breaker=breaker) as pool:
             with RepairSession(graph, small_kg_workload.rules,
-                               config=_warm_config(), pool=pool) as session:
+                               config=_inline_config(), pool=pool) as session:
                 # round 1: the scripted errors defeat attempt + retry; the
                 # pool failure trips the breaker (threshold 1) open
                 session.repair()
@@ -355,8 +361,7 @@ class TestSpawnChaos:
         plan = FaultPlan(faults=(
             Fault(site="worker.command", kind="crash", command="repair",
                   worker=0),))
-        config = RepairConfig.sharded(workers=2, warm=True,
-                                      min_partition_nodes=1)
+        config = RepairConfig.sharded(workers=2, min_partition_nodes=1)
         graph = small_kg_workload.dirty.copy(name="sigkill")
         pool = WorkerPool(workers=2, fault_plan=plan)
         try:
@@ -378,8 +383,7 @@ class TestSpawnChaos:
         plan = FaultPlan(faults=(
             Fault(site="worker.command", kind="hang", command="repair",
                   worker=0),))
-        config = RepairConfig.sharded(workers=2, warm=True,
-                                      min_partition_nodes=1)
+        config = RepairConfig.sharded(workers=2, min_partition_nodes=1)
         graph = small_kg_workload.dirty.copy(name="hung")
         pool = WorkerPool(workers=2, reply_timeout=3.0, fault_plan=plan)
         try:
@@ -394,6 +398,41 @@ class TestSpawnChaos:
         assert _no_pool_children()
         reference = _sequential_reference(small_kg_workload, "hung-ref")
         assert graph.structurally_equal(reference)
+
+
+    def test_unguarded_main_script_falls_back_instead_of_hanging(
+            self, tmp_path):
+        """A script with no ``if __name__ == "__main__"`` guard makes every
+        spawned worker re-run it and die at bootstrap.  The default sharded
+        config must give up on the pool and settle sequentially, not respawn
+        dead workers forever."""
+        script = tmp_path / "unguarded_main.py"
+        script.write_text(textwrap.dedent("""
+            import json
+
+            from repro.api import RepairConfig, RepairSession
+            from repro.datasets import build_workload
+
+            workload = build_workload("kg", scale=60, error_rate=0.08, seed=3)
+            config = RepairConfig.sharded(workers=2)
+            assert workload.dirty.num_nodes > config.min_partition_nodes
+            with RepairSession(workload.dirty, workload.rules,
+                               config=config) as session:
+                report = session.repair()
+                fanout = session.backend.last_fanout
+            print(json.dumps({"fallback_reason": fanout.fallback_reason,
+                              "remaining": report.remaining_violations}))
+        """))
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source_root] + [path for path in [env.get("PYTHONPATH")] if path])
+        completed = subprocess.run([sys.executable, str(script)],
+                                   capture_output=True, text=True, env=env,
+                                   cwd=tmp_path, timeout=120)
+        assert completed.returncode == 0, completed.stderr[-3000:]
+        outcome = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert outcome == {"fallback_reason": "pool-failure", "remaining": 0}
 
 
 # ----------------------------------------------------------------------

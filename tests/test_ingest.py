@@ -406,8 +406,7 @@ class TestIngestFront:
             service.serve(
                 "kg", small_kg_workload.dirty.copy(name="kg"),
                 small_kg_workload.rules,
-                config=RepairConfig.sharded(workers=2, warm=True,
-                                            parallel_inline=True,
+                config=RepairConfig.sharded(workers=2, parallel_inline=True,
                                             min_partition_nodes=1))
             with IngestFront(service) as front:
                 front.register("kg")

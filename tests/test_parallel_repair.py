@@ -1,6 +1,6 @@
 """Unit tests of the ``repro.parallel`` subsystem.
 
-Partitioning invariants, the spawn-safe worker protocol, delta merging with
+Partitioning invariants, the spawn-safe pool protocol, delta merging with
 conflict detection, graceful single-worker degradation, and batch
 independence of the fast core (the property the whole fan-out rests on).
 """
@@ -19,14 +19,14 @@ from repro.matching.pattern import Match, Pattern, PatternEdge, PatternNode
 from repro.parallel import (
     DeltaMerger,
     ShardedRepairer,
-    ShardTask,
+    ShardWorkerState,
+    WorkerPool,
     partition_graph,
     rule_radius,
-    run_shard_task,
     shard_from_payload,
     shard_payload,
 )
-from repro.parallel.worker import ShardResult, execute_tasks
+from repro.parallel.worker import ShardResult
 from repro.repair.fast import AppliedRepair, FastRepairCore
 from repro.repair.violation import Violation
 from repro.graph.delta import recording
@@ -125,43 +125,62 @@ class TestWorkerProtocol:
 
     @pytest.mark.parametrize("rules_factory", [knowledge_graph_rules,
                                                movie_rules, social_rules])
-    def test_task_is_picklable(self, rules_factory, small_kg_workload):
-        """Spawn-safety: every task component must survive pickling."""
-        task = ShardTask(shard_index=0,
-                         graph_payload=shard_payload(small_kg_workload.dirty),
-                         core=frozenset(small_kg_workload.dirty.node_ids()),
-                         namespace="s0",
-                         rules=rules_factory(),
-                         config=RepairConfig())
-        clone = pickle.loads(pickle.dumps(task))
-        assert clone.namespace == "s0"
-        assert clone.rules.names() == rules_factory().names()
+    def test_bind_message_is_picklable(self, rules_factory, small_kg_workload):
+        """Spawn-safety: every component of a bind command must survive the
+        pickling that carries it to a spawned pool worker."""
+        graph = small_kg_workload.dirty
+        message = ("bind", "b0:0", shard_payload(graph), "s0",
+                   frozenset(graph.node_ids()), rules_factory(),
+                   RepairConfig())
+        clone = pickle.loads(pickle.dumps(message))
+        assert clone[:2] == ("bind", "b0:0") and clone[3] == "s0"
+        assert clone[5].names() == rules_factory().names()
+        assert shard_from_payload(clone[2], "s0").structurally_equal(graph)
 
-    def test_run_shard_task_repairs_owned_violations(self, small_kg_workload):
+    def test_worker_state_proposes_owned_repairs_then_reverts(
+            self, small_kg_workload):
         workload = small_kg_workload
-        task = ShardTask(shard_index=0,
-                         graph_payload=shard_payload(workload.dirty),
-                         core=frozenset(workload.dirty.node_ids()),
-                         namespace="s0",
-                         rules=workload.rules,
-                         config=RepairConfig())
-        result = run_shard_task(task)
-        assert result.repairs_applied == len(result.repairs) > 0
-        assert pickle.loads(pickle.dumps(result)).shard_index == 0
+        plan = partition_graph(workload.dirty, 2, rule_radius(workload.rules))
+        shard = plan.shards[0]
+        working = shard.extract(workload.dirty)
+        state = ShardWorkerState(shard_payload(working), shard.namespace,
+                                 frozenset(shard.core), workload.rules,
+                                 RepairConfig())
+        try:
+            result = state.repair()
+            assert result.repairs_applied == len(result.repairs) > 0
+            assert all(repair.region <= shard.core
+                       for repair in result.repairs)
+            # propose-then-revert: the replica is the extracted working copy
+            assert state.graph.structurally_equal(working)
+            assert len(pickle.loads(pickle.dumps(result)).repairs) \
+                == len(result.repairs)
+        finally:
+            state.close()
 
-    def test_execute_tasks_preserves_task_order_inline(self, small_kg_workload):
-        plan = partition_graph(small_kg_workload.dirty, 3,
-                               rule_radius(small_kg_workload.rules))
-        tasks = [ShardTask(shard_index=shard.index,
-                           graph_payload=shard_payload(
-                               shard.extract(small_kg_workload.dirty)),
-                           core=frozenset(shard.core),
-                           namespace=shard.namespace,
-                           rules=small_kg_workload.rules,
-                           config=RepairConfig())
+    def test_inline_pool_repair_returns_results_in_key_order(
+            self, small_kg_workload):
+        workload = small_kg_workload
+        plan = partition_graph(workload.dirty, 3, rule_radius(workload.rules))
+        binds = [(f"k{shard.index}",
+                  shard_payload(shard.extract(workload.dirty)),
+                  shard.namespace, frozenset(shard.core), workload.rules,
+                  RepairConfig())
                  for shard in plan.shards]
-        results = execute_tasks(tasks, workers=3, use_processes=False)
-        assert [result.shard_index for result in results] == [0, 1, 2]
+        keys = ["k2", "k0", "k1"]
+        with WorkerPool(workers=3, inline=True) as pool:
+            pool.bind_all(binds)
+            results = pool.repair(keys)
+        for key, result in zip(keys, results):
+            core = plan.shards[int(key[1:])].core
+            assert all(repair.region <= core for repair in result.repairs)
+            with WorkerPool(workers=1, inline=True) as alone:
+                alone.bind_all([bind for bind in binds if bind[0] == key])
+                (expected,) = alone.repair([key])
+            assert [(repair.rule_name, repair.region)
+                    for repair in result.repairs] \
+                == [(repair.rule_name, repair.region)
+                    for repair in expected.repairs]
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +358,8 @@ class TestShardedBackend:
         assert fanout.accepted + fanout.rejected == fanout.shard_repairs
         assert len(fanout.conflicts) <= fanout.rejected
         assert report.reached_fixpoint
+        assert {"shard-extraction", "shard-ship", "shard-bind",
+                "shard-fanout", "shard-merge"} <= set(report.timings.as_dict())
 
     def test_max_repairs_budget_disables_fanout_and_stays_exact(self, small_kg_workload):
         """A shared cap must not be multiplied across worker drains: with

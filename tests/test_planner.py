@@ -6,12 +6,13 @@ is strictly *perf-only*: for any graph, rule set, and backend, turning it
 off (``ablation("planner")`` / ``use_cost_planner=False``) must produce the
 same matches and the same repaired graph, element for element.  These tests
 pin that contract across all three dataset generators and both the
-sequential and sharded/warm backends, and check the new ``planner_*``
-counters surface end to end.
+sequential and sharded backends (across calls too, with standing shard
+replicas), and check the new ``planner_*`` counters surface end to end.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -33,6 +34,17 @@ def _repair(graph, rules, config):
         report = session.repair()
         fanout = getattr(session.backend, "last_fanout", None)
     return repaired, report, fanout
+
+
+def _corrupt(graph, seed: int = 11) -> None:
+    """Deterministic violation-producing edits (deletions + duplicates)."""
+    rng = random.Random(seed)
+    for edge_id in rng.sample(graph.edge_ids(), 6):
+        graph.remove_edge(edge_id)
+    for edge_id in rng.sample(graph.edge_ids(), 4):
+        edge = graph.edge(edge_id)
+        graph.add_edge(edge.source, edge.target, edge.label,
+                       dict(edge.properties))
 
 
 class TestPlannerMatchEquivalence:
@@ -96,17 +108,24 @@ class TestPlannerRepairEquivalence:
         assert on_graph.structurally_equal(off_graph)
         assert on_fanout.shard_planner_plans > 0
 
-    def test_warm_backend_planner_on_off_agree(self):
+    def test_standing_replicas_planner_on_off_agree(self):
+        """Across calls too: shipped deltas keep the standing replicas'
+        planned detection in step with the static order."""
         workload = _workload("kg")
-        on_graph, _, _ = _repair(
-            workload.dirty, workload.rules,
-            RepairConfig.sharded(workers=2, warm=True, parallel_inline=True,
-                                 min_partition_nodes=1))
-        off_graph, _, _ = _repair(
-            workload.dirty, workload.rules,
-            RepairConfig.sharded(workers=2, warm=True, parallel_inline=True,
-                                 min_partition_nodes=1,
-                                 use_cost_planner=False))
+
+        def drive(config):
+            graph = workload.dirty.copy(name="kg-replicas")
+            with RepairSession(graph, workload.rules, config=config) as session:
+                session.repair()
+                session.apply(_corrupt)
+                session.repair()
+                assert session.backend.last_fanout.pool_ships > 0
+            return graph
+
+        config = RepairConfig.sharded(workers=2, parallel_inline=True,
+                                      min_partition_nodes=1)
+        on_graph = drive(config)
+        off_graph = drive(config.with_options(use_cost_planner=False))
         assert on_graph.structurally_equal(off_graph)
 
 

@@ -86,8 +86,7 @@ class TestServiceBasics:
             served = service.serve(
                 "kg", small_kg_workload.dirty.copy(name="kg"),
                 small_kg_workload.rules,
-                config=RepairConfig.sharded(workers=2, warm=True,
-                                            parallel_inline=True,
+                config=RepairConfig.sharded(workers=2, parallel_inline=True,
                                             min_partition_nodes=1))
             service.repair("kg")
             assert served.graph.structurally_equal(reference)
@@ -210,7 +209,7 @@ class TestConcurrentEquivalence:
     @pytest.mark.parametrize("serve_kwargs", [
         {},
         {"shards": 2},
-    ], ids=["fast-backend", "warm-sharded"])
+    ], ids=["fast-backend", "sharded"])
     def test_threaded_service_equals_sequential_replay(self, workload,
                                                        serve_kwargs):
         opening = workload.dirty.copy(name="opening")

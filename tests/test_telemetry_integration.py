@@ -4,7 +4,7 @@ The pinned contracts:
 
 * **counter equivalence** — the telemetry counters recorded during a repair
   equal the :class:`RepairReport` / :class:`MatchingStats` the session
-  returns, exactly, for every backend (sequential, sharded inline, warm) and
+  returns, exactly, for every backend (sequential, sharded inline) and
   every domain workload — instrumentation is an observer, not a second
   bookkeeper;
 * **span re-parenting** — a sharded repair exports one trace: the
@@ -89,12 +89,10 @@ class TestCounterEquivalence:
                                       "tenant-x", config.backend)
 
     @pytest.mark.parametrize("workload_name", WORKLOADS)
-    def test_warm_sharded_counters_equal_report(self, request,
-                                                workload_name):
+    def test_sharded_counters_equal_report(self, request, workload_name):
         workload = request.getfixturevalue(workload_name)
         graph = workload.dirty.copy(name="tenant-x")
-        config = RepairConfig.sharded(workers=2, warm=True,
-                                      parallel_inline=True,
+        config = RepairConfig.sharded(workers=2, parallel_inline=True,
                                       min_partition_nodes=1)
         with telemetry.collecting() as (registry, _tracer):
             with RepairSession(graph, workload.rules,
@@ -153,11 +151,9 @@ class TestSpanTrees:
         assert roots[0].attributes == {"tenant": "kg", "backend": "fast"}
         assert roots[0].duration > 0.0
 
-    def test_warm_inline_fanout_reparents_shard_spans(self,
-                                                      small_kg_workload):
+    def test_inline_fanout_reparents_shard_spans(self, small_kg_workload):
         graph = small_kg_workload.dirty.copy(name="kg")
-        config = RepairConfig.sharded(workers=2, warm=True,
-                                      parallel_inline=True,
+        config = RepairConfig.sharded(workers=2, parallel_inline=True,
                                       min_partition_nodes=1)
         with telemetry.collecting() as (_registry, tracer):
             with RepairSession(graph, small_kg_workload.rules,
@@ -169,7 +165,8 @@ class TestSpanTrees:
         fanouts = [child for root in roots for child in root.children
                    if child.name == "repair.fanout"]
         assert fanouts
-        assert all(span.attributes["mode"] == "warm" for span in fanouts)
+        assert all(span.attributes == {"tenant": "kg", "shards": 2}
+                   for span in fanouts)
         shard_spans = [grandchild for span in fanouts
                        for grandchild in span.children
                        if grandchild.name == "shard.repair"]

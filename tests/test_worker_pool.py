@@ -2,10 +2,10 @@
 
 Covers the three warm-pool guarantees the service stack relies on:
 
-* **warm == sequential** — a session on the warm sharded backend, driven
-  through repair / commit / repair rounds, produces a graph element-for-
-  element equal to the sequential fast backend's (the PR-3 equivalence
-  standard), with worker detection running incrementally off shipped deltas;
+* **warm == sequential** — a sharded session whose pool keeps its shard
+  replicas warm, driven through repair / commit / repair rounds, produces a
+  graph element-for-element equal to the sequential fast backend's, with
+  worker detection running incrementally off shipped deltas;
 * **no spawns after warm-up** — worker processes are created once; later
   repair calls bind nothing and spawn nothing (the overhead the ``service-kg``
   benchmark tracks);
@@ -38,9 +38,8 @@ def workload(request):
     return request.getfixturevalue(request.param)
 
 
-def _warm_config(workers: int = 2, **overrides) -> RepairConfig:
-    return RepairConfig.sharded(workers=workers, warm=True,
-                                parallel_inline=True,
+def _inline_config(workers: int = 2, **overrides) -> RepairConfig:
+    return RepairConfig.sharded(workers=workers, parallel_inline=True,
                                 min_partition_nodes=1, **overrides)
 
 
@@ -88,7 +87,7 @@ class TestWarmEqualsSequential:
 
         warm = workload.dirty.copy(name="warm")
         with RepairSession(warm, workload.rules,
-                           config=_warm_config(workers=2)) as session:
+                           config=_inline_config(workers=2)) as session:
             warm_counts = _drive(session)
             stats = session.backend.pool.stats
 
@@ -102,7 +101,7 @@ class TestWarmEqualsSequential:
     def test_replicas_survive_across_calls_without_rebind(self, small_kg_workload):
         graph = small_kg_workload.dirty.copy(name="warm-rebind")
         with RepairSession(graph, small_kg_workload.rules,
-                           config=_warm_config(workers=2)) as session:
+                           config=_inline_config(workers=2)) as session:
             session.repair()
             stats = session.backend.pool.stats
             binds_after_first = stats.binds
@@ -121,7 +120,7 @@ class TestWarmEqualsSequential:
                                    (small_movie_workload, "movies")):
                 repaired = workload.dirty.copy(name=name)
                 with RepairSession(repaired, workload.rules,
-                                   config=_warm_config(workers=2),
+                                   config=_inline_config(workers=2),
                                    pool=pool) as session:
                     session.repair()
                 reference = workload.dirty.copy(name=f"{name}-ref")
@@ -135,8 +134,9 @@ class TestWarmEqualsSequential:
 
 
 class TestWarmDegradation:
-    """The warm path shares the cold path's fan-out verdict: runs the cold
-    path would keep sequential never create a pool."""
+    """Runs that stay on the sequential drain never create a pool; the
+    per-call checks (the node floor, a one-shard partition) are rechecked
+    on every call until replicas stand."""
 
     def test_max_repairs_budget_keeps_warm_path_sequential(self,
                                                            small_kg_workload):
@@ -147,7 +147,7 @@ class TestWarmDegradation:
 
         graph = small_kg_workload.dirty.copy(name="warm-budget")
         with RepairSession(graph, small_kg_workload.rules,
-                           config=_warm_config(workers=2, max_repairs=3)
+                           config=_inline_config(workers=2, max_repairs=3)
                            ) as session:
             report = session.repair()
             assert not session.backend.last_fanout.ran
@@ -157,8 +157,7 @@ class TestWarmDegradation:
 
     def test_small_graph_keeps_warm_path_sequential(self, small_kg_workload):
         graph = small_kg_workload.dirty.copy(name="warm-small")
-        config = RepairConfig.sharded(workers=2, warm=True,
-                                      parallel_inline=True,
+        config = RepairConfig.sharded(workers=2, parallel_inline=True,
                                       min_partition_nodes=10_000)
         with RepairSession(graph, small_kg_workload.rules,
                            config=config) as session:
@@ -167,11 +166,49 @@ class TestWarmDegradation:
             assert session.backend.pool is None
         assert report.reached_fixpoint
 
+    def test_graph_grown_past_the_floor_fans_out(self, small_kg_workload):
+        """A session opened below ``min_partition_nodes`` is not degraded for
+        good: once commits grow the graph past the floor, the next repair
+        fans out and still equals the sequential result."""
+        workload = small_kg_workload
+        floor = workload.dirty.num_nodes + 1
+
+        def grow(graph):
+            _corrupt(graph, 31)
+            cities = [node_id for node_id in graph.node_ids()
+                      if graph.node(node_id).label == "City"]
+            for index in range(40):
+                person = graph.add_node("Person", {"name": f"grown-{index}"})
+                graph.add_edge(person.id, cities[index % len(cities)],
+                               "bornIn")
+
+        def drive(session):
+            counts = [session.repair().repairs_applied]
+            session.apply(grow)
+            return counts
+
+        reference = workload.dirty.copy(name="reference")
+        with RepairSession(reference, workload.rules,
+                           config=RepairConfig.fast()) as session:
+            reference_counts = drive(session)
+            reference_counts.append(session.repair().repairs_applied)
+
+        graph = workload.dirty.copy(name="growing")
+        config = RepairConfig.sharded(workers=2, parallel_inline=True,
+                                      min_partition_nodes=floor)
+        with RepairSession(graph, workload.rules, config=config) as session:
+            counts = drive(session)
+            assert not session.backend.last_fanout.ran
+            assert session.backend.pool is None
+            assert graph.num_nodes >= floor
+            counts.append(session.repair().repairs_applied)
+            assert session.backend.last_fanout.ran
+        assert counts == reference_counts
+        assert graph.structurally_equal(reference)
 
     def test_warm_spawns_once_and_closes_clean(self, small_kg_workload):
         graph = small_kg_workload.dirty.copy(name="spawned")
-        config = RepairConfig.sharded(workers=2, warm=True,
-                                      min_partition_nodes=1)
+        config = RepairConfig.sharded(workers=2, min_partition_nodes=1)
         session = RepairSession(graph, small_kg_workload.rules, config=config)
         try:
             counts = _drive(session)
@@ -221,7 +258,7 @@ class TestFailureRecovery:
 
         graph = small_kg_workload.dirty.copy(name="recover")
         with RepairSession(graph, small_kg_workload.rules,
-                           config=_warm_config(workers=2)) as session:
+                           config=_inline_config(workers=2)) as session:
             counts = [session.repair().repairs_applied]
             pool = session.backend.pool
             generation = pool.generation
@@ -247,7 +284,7 @@ class TestFailureRecovery:
         nodes = [chain.add_node("Person", {"i": i}).id for i in range(5)]
         for left, right in zip(nodes, nodes[1:]):
             chain.add_edge(left, right, "knows")
-        backend = build_backend(_warm_config(workers=2))
+        backend = build_backend(_inline_config(workers=2))
         backend.bind(chain, small_kg_workload.rules)
         try:
             # core = first two chain nodes; radius-2 halo covers nodes[2..3],
