@@ -32,6 +32,12 @@ from repro.repair.config import RepairConfig
 from repro.repair.fast import AppliedRepair, FastRepairCore, make_ownership_filter
 from repro.rules.grr import RuleSet
 
+#: the :class:`~repro.matching.vf2.MatchingStats` counters a
+#: :class:`ShardResult` carries
+_STATS_COUNTERS = ("nodes_tried", "value_bucket_candidates",
+                   "range_bucket_candidates", "planner_plans",
+                   "planner_replans")
+
 
 @dataclass
 class ShardResult:
@@ -116,44 +122,39 @@ class ShardWorkerState:
         return len(replayed)
 
     def repair(self) -> ShardResult:
-        """One propose-then-revert repair pass over the standing replica."""
+        """One propose-then-revert repair pass over the standing replica.
+
+        The counters are deltas of the core's live report and stats; the
+        replica never settles a report (no fixpoint check), since the
+        coordinator's settle drain decides what remains."""
         started = time.perf_counter()
-        report = self.core_state.report
-        stats = self.core_state.stats
-        baseline = (report.violations_detected, report.repairs_applied,
-                    report.repairs_failed, stats.nodes_tried,
-                    stats.value_bucket_candidates,
-                    stats.range_bucket_candidates,
-                    stats.planner_plans, stats.planner_replans)
+        core = self.core_state
+        before = self._counters()
         collected: list[AppliedRepair] = []
         with recording(self.graph) as recorder:
-            self.core_state.drain(
-                accept=make_ownership_filter(self.graph, self.owned),
-                collector=collected)
+            core.drain(accept=make_ownership_filter(self.graph, self.owned),
+                       collector=collected)
         mutations = recorder.drain()
         if mutations:
             # revert *everything* the drain changed — applied repairs and
             # partial mutations of failed ones alike — and tell the matcher,
             # requeuing the violations whose repairs were just undone
             inverse = apply_inverse(self.graph, mutations)
-            self.core_state.maintain(inverse, source="commit")
-        finalized = self.core_state.finalize()
-        return ShardResult(
-            shard_index=-1,
-            repairs=collected,
-            violations_detected=finalized.violations_detected - baseline[0],
-            repairs_applied=finalized.repairs_applied - baseline[1],
-            repairs_failed=finalized.repairs_failed - baseline[2],
-            nodes_tried=finalized.matching_stats.nodes_tried - baseline[3],
-            value_bucket_candidates=(
-                finalized.matching_stats.value_bucket_candidates - baseline[4]),
-            range_bucket_candidates=(
-                finalized.matching_stats.range_bucket_candidates - baseline[5]),
-            planner_plans=finalized.matching_stats.planner_plans - baseline[6],
-            planner_replans=(
-                finalized.matching_stats.planner_replans - baseline[7]),
-            elapsed_seconds=time.perf_counter() - started,
-        )
+            core.maintain(inverse, source="commit")
+        counts = {name: value - before[name]
+                  for name, value in self._counters().items()}
+        return ShardResult(shard_index=-1, repairs=collected,
+                           elapsed_seconds=time.perf_counter() - started,
+                           **counts)
+
+    def _counters(self) -> dict[str, int]:
+        """The core's running totals of the :class:`ShardResult` counters."""
+        report = self.core_state.report
+        stats = self.core_state.stats
+        return {"violations_detected": report.violations_detected,
+                "repairs_applied": report.repairs_applied,
+                "repairs_failed": report.repairs_failed,
+                **{name: getattr(stats, name) for name in _STATS_COUNTERS}}
 
     def close(self) -> None:
         self.core_state.close()

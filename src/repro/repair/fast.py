@@ -20,6 +20,10 @@ its per-round full re-matching:
   pattern, with edge changes filtered by the labels the missing pattern
   reads, and the whole store when the missing pattern has variables of its
   own.
+* the **fixpoint check** re-checks a violation ledger rather than every
+  stored match: each stored match found violating (by detection,
+  discovery, or the recheck) enters it, and leaves once re-checked as no
+  longer violating (:meth:`FastRepairCore.count_remaining`).
 
 The state behind the algorithm — index, match stores, violation queue,
 extension prober — lives in :class:`FastRepairCore`, which is shared between
@@ -32,10 +36,12 @@ With ``batch_repairs=True`` the core drains the queue in *batches* of
 mutually independent violations (no shared bound nodes): every repair in a
 batch is validated against the live graph and applied, their deltas are
 merged, and **one** incremental-maintenance pass covers the whole batch —
-amortising seeded-search startup across independent repairs (the ROADMAP
-"batch deltas across repairs" item).  Because independence is defined by
-region disjointness, a batch of non-overlapping violations produces the same
-fixpoint as applying them one at a time.
+amortising seeded-search startup across independent repairs.  Independence
+is disjointness of bound nodes only, and a rule also reads structure outside
+them (missing-pattern extensions, witnesses), so a batched drain is **not**
+guaranteed to reach the fixpoint of the sequential one: on the generated
+kg@1500 and social@500 workloads at seed 0 it applies more repairs and ends
+on a different graph.
 
 The three optimisations can be toggled independently for the ablation
 experiment (E5); turning incremental maintenance off is equivalent to running
@@ -158,9 +164,12 @@ class FastRepairCore:
         # each drain (each session repair() call), matching the per-call
         # budget semantics of the naive and greedy backends
         self._drain_baseline = 0
-        # valid remaining-violation count from the last full scan; None while
-        # stores may have changed since (keeps no-op repair() calls O(1))
-        self._remaining_cache: int | None = None
+        # violation ledger: the match key (pattern name first) of every
+        # stored match found violating and not yet re-checked as satisfied,
+        # queued or not (handled and failed identities still count as
+        # remaining); count_remaining re-checks these instead of every
+        # stored match
+        self._ledger: dict[tuple, None] = {}
         self._closed = False
 
         config = self.config
@@ -193,7 +202,7 @@ class FastRepairCore:
             for store in self.incremental.stores():
                 rule = self.rules_by_pattern[store.pattern.name]
                 for match in store:
-                    if rule.is_violation(self.checker, match):
+                    if self._violates(rule, match):
                         self.push(Violation(rule=rule, match=match))
         self._elapsed += time.perf_counter() - started
 
@@ -223,6 +232,14 @@ class FastRepairCore:
         self.report.violations_detected += 1
         if self._on_violation is not None:
             self._on_violation(violation)
+        return True
+
+    def _violates(self, rule: GraphRepairingRule, match: Match) -> bool:
+        """Whether a stored match violates its rule; a violating one enters
+        the ledger whether or not :meth:`push` accepts it again."""
+        if not rule.is_violation(self.checker, match):
+            return False
+        self._ledger[match.key()] = None
         return True
 
     def _push_entry(self, entry: tuple[tuple, int, Violation]) -> None:
@@ -286,10 +303,6 @@ class FastRepairCore:
         with self._timed(), self.report.timings.measure("execution"):
             outcome = self.executor.apply(violation.rule, violation.match)
         self._processed_keys.add(violation.key())
-        if outcome.delta:
-            # even a failed repair may have mutated the graph (partial
-            # repairs are kept, not rolled back)
-            self._remaining_cache = None
         if not outcome.applied:
             violation.status = ViolationStatus.FAILED
             self.report.repairs_failed += 1
@@ -314,7 +327,6 @@ class FastRepairCore:
         if not delta:
             event.passes = 0
             return event
-        self._remaining_cache = None
         requeue = source == "commit"
 
         with self._timed():
@@ -325,8 +337,13 @@ class FastRepairCore:
                 self.report.seeded_searches += update.seeded_searches
                 event.seeded_searches += update.seeded_searches
                 event.invalidated += len(update.invalidated)
+                # an invalidated match left its store, so its entry goes too:
+                # a core that never counts (a shard replica) keeps a ledger
+                # no larger than its stores
+                for match in update.invalidated:
+                    self._ledger.pop(match.key(), None)
                 for match in update.discovered:
-                    if rule.is_violation(self.checker, match):
+                    if self._violates(rule, match):
                         if self.push(Violation(rule=rule, match=match),
                                      requeue=requeue):
                             event.discovered += 1
@@ -340,7 +357,7 @@ class FastRepairCore:
                         rule = self.rules_by_pattern[pattern_name]
                         for match in candidates:
                             event.rechecked += 1
-                            if rule.is_violation(self.checker, match):
+                            if self._violates(rule, match):
                                 if self.push(Violation(rule=rule, match=match),
                                              requeue=requeue):
                                     event.discovered += 1
@@ -494,23 +511,33 @@ class FastRepairCore:
     def count_remaining(self) -> int:
         """Stored matches that still violate their rule (the fixpoint check).
 
-        The count is cached between calls and invalidated by applied repairs
-        and maintenance passes, so a no-op ``repair()`` on an already-settled
-        session does not pay a full store rescan.
+        Re-checks the violation ledger, not the match stores.  Every stored
+        match that violates its rule entered the ledger when it became a
+        violation: at initial detection, when maintenance discovered it, or
+        when the incompleteness recheck found its extension gone
+        (``test_fast_core_queues_every_violation`` pins this).  An entry
+        leaves once its match has left its store, is no longer valid, or no
+        longer violates; the entries that stay are the count.  A failed
+        repair keeps its entry, and so stays counted.
+
+        Every entry is re-checked, not only those a delta's
+        :class:`~repro.matching.incremental.DeltaRegion` touched: a missing
+        pattern with variables of its own is satisfied by an edge whose
+        region is its endpoint pair, which holds no match binding only one
+        of them.  After a drain the ledger holds the violations handled
+        since the last count plus persistent failures, so a no-op
+        ``repair()`` on a settled session counts an empty ledger.
         """
-        if self._remaining_cache is not None:
-            return self._remaining_cache
+        ledger = self._ledger
         with self._timed(), self.report.timings.measure("final-check"):
-            remaining = 0
-            for store in self.incremental.stores():
-                rule = self.rules_by_pattern[store.pattern.name]
-                for match in store:
-                    if not match.is_valid(self.graph):
-                        continue
-                    if rule.is_violation(self.checker, match):
-                        remaining += 1
-        self._remaining_cache = remaining
-        return remaining
+            for key in list(ledger):
+                pattern_name = key[0]
+                match = self.incremental.store(pattern_name).matches.get(key)
+                if (match is None or not match.is_valid(self.graph)
+                        or not self.rules_by_pattern[pattern_name].is_violation(
+                            self.checker, match)):
+                    del ledger[key]
+        return len(ledger)
 
     def finalize(self) -> RepairReport:
         """Settle the report against the current state; the core stays usable."""

@@ -85,18 +85,48 @@ def _random_mutation(graph: PropertyGraph, rng: random.Random) -> bool:
     return True
 
 
+def _most_common_triple(graph: PropertyGraph) -> tuple[str, str, str]:
+    """The (source label, edge label, target label) with the most edges."""
+    histogram = label_pair_histogram(graph)
+    return max(sorted(histogram), key=histogram.__getitem__)
+
+
 def _open_rule(graph: PropertyGraph):
     """An incompleteness rule whose missing pattern has a variable of its own:
     every source of the graph's most common edge triple keeps such an edge to
     a target not named ``X`` (a name the random updates set)."""
-    histogram = label_pair_histogram(graph)
-    source, label, target = max(sorted(histogram), key=histogram.__getitem__)
+    source, label, target = _most_common_triple(graph)
     return (incompleteness_rule("keeps-an-edge")
             .node("x", source)
             .missing_node("y", target, [ne("name", "X")])
             .missing_edge("x", "y", label)
             .add_node("z", target).add_edge("x", "z", label)
             .build())
+
+
+def _failing_rule(graph: PropertyGraph):
+    """An incompleteness rule whose repair always fails: it fires on every
+    edge of the graph's most common triple that lacks a reverse edge, and
+    the repair adds one from an edge variable, which cannot be executed.
+    Its priority ranks it ahead of every stock rule, so a budgeted drain
+    reaches it."""
+    source, label, target = _most_common_triple(graph)
+    return (incompleteness_rule("never-repaired").priority(100)
+            .node("x", source).node("y", target)
+            .edge("x", "y", label, variable="e")
+            .missing_edge("y", "x", label)
+            .add_edge("e", "x", label)
+            .build())
+
+
+def _rescan_remaining(core: FastRepairCore) -> int:
+    """The fixpoint check by full rescan: every stored match that is valid
+    and violates its rule, the count the violation ledger must equal."""
+    return sum(1 for store in core.incremental.stores()
+               for match in store
+               if match.is_valid(core.graph)
+               and core.rules_by_pattern[store.pattern.name].is_violation(
+                   core.checker, match))
 
 
 def _assert_stores_equal_recompute(incremental: IncrementalMatcher,
@@ -145,20 +175,28 @@ class TestInvertedIndexEqualsRecompute:
         maintenance pass each stored match that violates its rule must be
         queued (pushing it again is a no-op), so the narrowed recheck
         misses nothing.  A rule with a missing-only variable is added to
-        cover the whole-store fallback."""
+        cover the whole-store fallback.
+
+        Drains run between the commits, and a rule whose repairs always
+        fail is added, so processed and failed identities exist; after
+        every step the violation ledger's count must equal a full rescan."""
         rng = random.Random(seed)
         instance = load_dataset(domain, scale=50, seed=seed)
         graph = instance.clean
         rules = (generate_rules(graph, RuleGenConfig(num_rules=5, seed=seed))
                  if rule_source == "rulegen" else instance.rules)
-        rules = RuleSet([*rules, _open_rule(graph)])
+        rules = RuleSet([*rules, _open_rule(graph), _failing_rule(graph)])
 
-        core = FastRepairCore(graph, rules)
+        # on a triple whose source and target labels agree (social's User
+        # follows User) each repair of the open rule adds a node that
+        # violates it again, so every drain runs on a budget
+        core = FastRepairCore(graph, rules, RepairConfig.fast(max_repairs=20))
         recorder = ChangeRecorder()
         graph.add_listener(recorder)
         rechecked = 0
         mutations = 0
         try:
+            assert core.count_remaining() == _rescan_remaining(core)
             while mutations < 25:
                 if not _random_mutation(graph, rng):
                     continue
@@ -171,11 +209,19 @@ class TestInvertedIndexEqualsRecompute:
                         if rule.is_violation(core.checker, match):
                             assert not core.push(Violation(rule=rule, match=match)), \
                                 f"{rule.name} violation at {match} was not queued"
+                assert core.count_remaining() == _rescan_remaining(core)
+                if mutations % 3 == 0:
+                    core.drain()
+                    # the drain already maintained its repairs' changes
+                    recorder.drain()
+                    assert core.count_remaining() == _rescan_remaining(core)
                 if mutations % 5 == 0:
                     _assert_stores_equal_recompute(core.incremental, graph, core.index)
         finally:
             core.close()
         assert rechecked > 0
+        assert core.report.repairs_applied > 0
+        assert core.report.repairs_failed > 0
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            mutation_count=st.integers(min_value=5, max_value=30))
@@ -526,6 +572,55 @@ class TestRecheckThroughMissingOnlyVariables:
 
         self._repair_after(
             rule, build, lambda graph, ids: graph.remove_edge(ids["basedIn"]))
+
+
+class TestViolationLedger:
+    """The fixpoint check counts the violation ledger, not a rescan of the
+    stores; it must still equal the rescan where a region-local check would
+    not, and keep counting what a repair could not fix."""
+
+    def test_violation_satisfied_outside_its_delta_region(self):
+        graph = PropertyGraph()
+        ada = graph.add_node("Person", {"name": "ada"})
+        oslo = graph.add_node("City", {"name": "Oslo"})
+        graph.add_edge(ada.id, oslo.id, "livesIn")
+        bob = graph.add_node("Person", {"name": "bob"})
+        rule = _open_rule(graph)
+        core = FastRepairCore(graph, RuleSet([rule]))
+        recorder = ChangeRecorder()
+        graph.add_listener(recorder)
+        try:
+            assert core.count_remaining() == _rescan_remaining(core) == 1
+            # the missing pattern's own City variable is satisfied by an
+            # edge whose region is the pair (bob, Oslo): the match binding
+            # only bob lies outside it
+            graph.add_edge(bob.id, oslo.id, "livesIn")
+            delta = recorder.drain()
+            store = core.incremental.store(rule.pattern.name)
+            assert store.matches_in(DeltaRegion.of(delta.changes)) == []
+            core.maintain(delta, source="commit")
+            assert core.count_remaining() == _rescan_remaining(core) == 0
+        finally:
+            core.close()
+
+    def test_failed_repair_stays_counted_across_repairs(self):
+        graph = PropertyGraph()
+        ann = graph.add_node("Person", {"name": "Ann"})
+        bob = graph.add_node("Person", {"name": "Bob"})
+        graph.add_edge(ann.id, bob.id, "knows")
+        with RepairSession(graph, RuleSet([_failing_rule(graph)]),
+                           config=RepairConfig.fast()) as session:
+            core = session.backend.core
+            for _ in range(3):
+                report = session.repair()
+                assert report.repairs_failed == 1
+                assert report.remaining_violations == _rescan_remaining(core) == 1
+                assert not report.reached_fixpoint
+            # an edit that satisfies the failed violation retires its entry
+            session.apply(lambda g: g.add_edge(bob.id, ann.id, "knows"))
+            report = session.repair()
+            assert report.remaining_violations == _rescan_remaining(core) == 0
+            assert report.reached_fixpoint
 
 
 class TestPatternRequirementsRegression:
