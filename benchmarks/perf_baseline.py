@@ -9,12 +9,10 @@ Measures, for each of the three dataset domains (``kg``, ``movies``,
   :class:`~repro.api.RepairSession` (the paper's efficient algorithm: index +
   decomposition + incremental maintenance);
 * ``naive_seconds`` — end-to-end naive repair (full re-detection per round);
-* ``batched_seconds`` — the fast session with **batched** queue draining
-  (independent violations repaired under one merged incremental pass);
 * ``sharded_seconds`` — (kg domain only: the ``sharded-kg`` scenario) the
   sharded multi-process backend at 4 workers through the real spawn pool,
   measured once per invocation (process startup dominates repeats) and
-  compared against ``batched_seconds``; excluded from the regression gate's
+  compared against ``fast_seconds``; excluded from the regression gate's
   timing keys because pool startup is host-load dependent, but its
   deterministic work counters are tracked;
 * the ``service-kg`` scenario (kg domain only) — sharded repair through
@@ -56,9 +54,8 @@ Measures, for each of the three dataset domains (``kg``, ``movies``,
   wall-clock gates);
 
 plus the deterministic work counters (repairs applied, violations detected,
-matches enumerated, nodes tried, and the incremental ``maintenance_passes``
-of the sequential vs batched drains — the batch-deltas win recorded in the
-trajectory) that let a regression checker distinguish "the machine is
+matches enumerated, nodes tried, and the fast drain's incremental
+``maintenance_passes``) that let a regression checker distinguish "the machine is
 slower" from "the algorithm does more work".
 
 Each invocation appends one entry to ``BENCH_repair.json`` (the *trajectory*)
@@ -113,12 +110,11 @@ MODES: dict[str, dict[str, Any]] = {
 # apparent 2x) on scheduler-timing noise; the traffic scenario's teeth are
 # its deterministic gated counters (ticks / rejections / coalesced).
 TIMING_KEYS = ("match_seconds", "fast_seconds", "naive_seconds",
-               "batched_seconds", "scale_match_seconds", "scale_fast_seconds",
+               "scale_match_seconds", "scale_fast_seconds",
                "recovery_seconds")
 COUNTER_KEYS = ("matches", "fast_repairs_applied", "fast_violations_detected",
                 "fast_nodes_tried", "naive_repairs_applied",
-                "fast_maintenance_passes",
-                "batched_maintenance_passes", "sharded_repairs_applied",
+                "fast_maintenance_passes", "sharded_repairs_applied",
                 "sharded_accepted", "sharded_rejected",
                 "service_warm_repairs", "service_cold_repairs",
                 "service_warm_spawns_after_warmup", "service_warm_binds",
@@ -207,11 +203,6 @@ def measure_domain(domain: str, scale: int, error_rate: float, seed: int,
 
     fast_seconds, fast_report = _best_of(repeats, run_session(RepairConfig.fast()))
     naive_seconds, naive_report = _best_of(repeats, run_session(RepairConfig.naive()))
-    # The batched-session scenario: same workload, queue drained in batches of
-    # independent violations maintained under one merged incremental pass —
-    # the trajectory records both wall-clock and the maintenance-pass saving.
-    batched_seconds, batched_report = _best_of(
-        repeats, run_session(RepairConfig.fast().batched()))
 
     sharded: dict[str, Any] = {}
     if domain == SHARDED_DOMAIN:
@@ -229,7 +220,6 @@ def measure_domain(domain: str, scale: int, error_rate: float, seed: int,
         "match_seconds": round(match_seconds, 4),
         "fast_seconds": round(fast_seconds, 4),
         "naive_seconds": round(naive_seconds, 4),
-        "batched_seconds": round(batched_seconds, 4),
         "matches": matches,
         "fast_repairs_applied": fast_report.repairs_applied,
         "fast_violations_detected": fast_report.violations_detected,
@@ -237,10 +227,6 @@ def measure_domain(domain: str, scale: int, error_rate: float, seed: int,
         "fast_maintenance_passes": fast_report.matching_stats.maintenance_passes,
         "naive_repairs_applied": naive_report.repairs_applied,
         "fast_reached_fixpoint": fast_report.reached_fixpoint,
-        "batched_repairs_applied": batched_report.repairs_applied,
-        "batched_maintenance_passes":
-            batched_report.matching_stats.maintenance_passes,
-        "batched_reached_fixpoint": batched_report.reached_fixpoint,
     }
 
 
@@ -806,22 +792,19 @@ def append_entry(path: Path, mode: str, label: str,
 
 def format_results(results: dict[str, Any]) -> str:
     lines = [f"{'domain':<8} {'scale':>6} {'match_s':>9} {'fast_s':>9} {'naive_s':>9} "
-             f"{'batch_s':>9} {'matches':>8} {'repairs':>8} {'passes':>11}"]
+             f"{'matches':>8} {'repairs':>8} {'passes':>8}"]
     for domain, row in results.items():
-        passes = (f"{row['batched_maintenance_passes']}/"
-                  f"{row['fast_maintenance_passes']}")
         lines.append(f"{domain:<8} {row['scale']:>6} {row['match_seconds']:>9.4f} "
                      f"{row['fast_seconds']:>9.4f} {row['naive_seconds']:>9.4f} "
-                     f"{row['batched_seconds']:>9.4f} "
                      f"{row['matches']:>8} {row['fast_repairs_applied']:>8} "
-                     f"{passes:>11}")
+                     f"{row['fast_maintenance_passes']:>8}")
         if "sharded_seconds" in row:
             lines.append(
                 f"{'':8} sharded-{domain}@{row['scale']}: "
                 f"{row['sharded_seconds']:.4f}s @ {row['sharded_workers']} workers "
                 f"({row['sharded_shards']} shards, "
                 f"{row['sharded_accepted']} merged + {row['sharded_rejected']} deferred, "
-                f"vs batched {row['batched_seconds']:.4f}s)")
+                f"vs fast {row['fast_seconds']:.4f}s)")
         if "service_warm_call_seconds" in row:
             lines.append(
                 f"{'':8} service-{domain}@{row['scale']}: service "

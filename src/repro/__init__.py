@@ -33,10 +33,9 @@ incrementally for as long as the graph lives::
                              workload.ground_truth)
     print(quality.describe())
 
-Batch repairing (`RepairConfig.fast().batched()`) applies independent
-violations under one merged maintenance pass; `SessionEvents` streams
-progress; `RepairConfig.naive()` / `RepairConfig.baseline()` switch the
-backend; `RepairConfig.sharded(workers=N)` fans a repair pass out over
+`SessionEvents` streams progress; `RepairConfig.naive()` /
+`RepairConfig.baseline()` switch the backend;
+`RepairConfig.sharded(workers=N)` fans a repair pass out over
 worker processes with deterministic delta merging (``docs/PARALLEL.md``);
 the session's worker pool keeps those workers and their shard replicas
 alive across repair calls until the session closes.  Sessions are thread-safe and publish every committed change

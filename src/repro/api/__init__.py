@@ -2,8 +2,8 @@
 
 The package centres on :class:`RepairSession`: open it once over a graph and
 a rule set, keep matcher state alive across successive edits, stage / commit /
-roll back transactions with batched delta maintenance, and stream progress
-through :class:`SessionEvents`.  Behind the session sits the
+roll back transactions with one maintenance pass per commit, and stream
+progress through :class:`SessionEvents`.  Behind the session sits the
 :class:`Repairer` protocol (plan/apply/maintain lifecycle) with three bundled
 backends — fast, naive, greedy — plus the lazily loaded sharded one, selected
 by the builder-style :class:`RepairConfig` (defined in

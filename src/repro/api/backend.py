@@ -144,10 +144,8 @@ class _ReDetectionBackend:
         self.rules = rules
 
     def _detect(self) -> list[Violation]:
-        detector = ViolationDetector(
-            self.graph, self.rules,
-            matcher_config=self.config.to_matcher_config(),
-            match_limit_per_rule=self.config.match_limit_per_rule)
+        detector = ViolationDetector(self.graph, self.rules,
+                                     matcher_config=self.config.to_matcher_config())
         violations = list(detector.detect())
         self._stats.merge(detector.matcher.stats)
         detector.matcher.close()

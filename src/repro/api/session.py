@@ -12,19 +12,19 @@ Three interaction styles compose:
 
 **Repairing.**  :meth:`repair` drives the pending violations to a fixpoint
 with the configured backend and returns the session's cumulative
-:class:`~repro.repair.report.RepairReport`.  With
-``RepairConfig.fast().batched()`` the queue drains in batches of
-region-independent violations whose deltas are maintained under **one**
-merged incremental pass per batch.
+:class:`~repro.repair.report.RepairReport`.  The fast backend drains its
+queue one violation at a time, maintaining each applied repair's delta
+before it pops the next, so a session reaches the same fixpoint as the
+naive loop.
 
 **Transactions.**  External edits are staged — :meth:`stage` (a mutator
 callable or a recorded :class:`~repro.graph.GraphDelta`) or the
 :meth:`transaction` context manager — and land on the graph immediately, but
 the matcher state is *not* reconciled until :meth:`commit`, which merges all
-staged deltas and folds them in under a single maintenance pass (batched
-delta maintenance).  :meth:`rollback` discards staged work instead, using the
-delta-inverse machinery to restore the exact pre-stage graph (ids, labels,
-properties).  :meth:`apply` is stage-and-commit in one step.
+staged deltas and folds them in under a single maintenance pass, however
+many edits were staged.  :meth:`rollback` discards staged work instead, using
+the delta-inverse machinery to restore the exact pre-stage graph (ids,
+labels, properties).  :meth:`apply` is stage-and-commit in one step.
 
 **Streaming.**  A :class:`~repro.api.SessionEvents` bundle
 (``on_violation`` / ``on_repair_applied`` / ``on_maintenance``) streams
@@ -257,7 +257,7 @@ class RepairSession:
     @property
     def stats(self) -> MatchingStats:
         """Aggregated matcher counters of the backend's lifetime (including
-        ``maintenance_passes`` — the batching win is visible here)."""
+        ``maintenance_passes``: one per applied repair and one per commit)."""
         return self.backend.stats()
 
     # -- telemetry: counters equal the report/stats by construction -----

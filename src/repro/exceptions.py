@@ -68,22 +68,6 @@ class MatchingError(ReproError):
     """Base class for errors raised while matching a pattern against a graph."""
 
 
-class MatchLimitExceeded(MatchingError):
-    """The matcher found more matches than the configured hard limit."""
-
-    def __init__(self, limit: int) -> None:
-        super().__init__(f"match enumeration exceeded the limit of {limit} matches")
-        self.limit = limit
-
-
-class MatchTimeout(MatchingError):
-    """The matcher exceeded its time budget."""
-
-    def __init__(self, budget_seconds: float) -> None:
-        super().__init__(f"matching exceeded the time budget of {budget_seconds}s")
-        self.budget_seconds = budget_seconds
-
-
 # ---------------------------------------------------------------------------
 # Rule layer
 # ---------------------------------------------------------------------------

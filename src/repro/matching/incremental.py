@@ -340,7 +340,7 @@ class IncrementalMatcher:
     # ------------------------------------------------------------------
 
     def register(self, pattern: Pattern, enumerate_now: bool = True,
-                 limit: int | None = None, missing: Pattern | None = None) -> MatchStore:
+                 missing: Pattern | None = None) -> MatchStore:
         """Register a pattern and (by default) enumerate its initial matches.
 
         ``missing`` marks the pattern as the evidence of an incompleteness
@@ -361,7 +361,7 @@ class IncrementalMatcher:
         else:
             self._missing.pop(pattern.name, None)
         if enumerate_now:
-            for match in self._engine.iter_matches(pattern, limit=limit):
+            for match in self._engine.iter_matches(pattern):
                 store.add(match)
         return store
 

@@ -27,16 +27,13 @@ class MatcherConfig:
     ``use_candidate_index`` and ``use_decomposition`` are the two matching
     optimisations ablated in experiment E5; ``use_cost_planner`` replaces the
     static decomposition order with a statistics-driven plan (it needs both
-    of the others to act); ``match_limit`` caps enumeration per pattern
-    (None = unbounded); ``time_budget`` is an optional per-call wall-clock
-    budget in seconds.
+    of the others to act).  Enumeration is uncapped unless a call passes its
+    own ``limit``.
     """
 
     use_candidate_index: bool = True
     use_decomposition: bool = True
     use_cost_planner: bool = True
-    match_limit: int | None = None
-    time_budget: float | None = None
 
     @classmethod
     def naive(cls) -> "MatcherConfig":
@@ -69,8 +66,7 @@ class Matcher:
                 self._index.attach()
         engine = VF2Matcher(graph=self.graph, candidate_index=self._index,
                             use_decomposition=self.config.use_decomposition,
-                            use_cost_planner=self.config.use_cost_planner,
-                            time_budget=self.config.time_budget)
+                            use_cost_planner=self.config.use_cost_planner)
         engine.stats = self.stats
         self._shared_engine = engine
 
@@ -104,15 +100,12 @@ class Matcher:
 
     def find_matches(self, pattern: Pattern, seed: Mapping[str, str] | None = None,
                      limit: int | None = None) -> list[Match]:
-        """All matches of ``pattern`` (bounded by the config's match limit)."""
-        effective_limit = limit if limit is not None else self.config.match_limit
+        """All matches of ``pattern`` (at most ``limit`` when given)."""
         if not _TELEMETRY.enabled:
-            return self._engine().find_matches(pattern, seed=seed,
-                                               limit=effective_limit)
+            return self._engine().find_matches(pattern, seed=seed, limit=limit)
         started = time.perf_counter()
         try:
-            return self._engine().find_matches(pattern, seed=seed,
-                                               limit=effective_limit)
+            return self._engine().find_matches(pattern, seed=seed, limit=limit)
         finally:
             _observe("repro_match_seconds", time.perf_counter() - started,
                      phase="find-matches")

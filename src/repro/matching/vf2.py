@@ -54,7 +54,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from repro.exceptions import MatchingError, MatchTimeout
+from repro.exceptions import MatchingError
 from repro.graph.property_graph import PropertyGraph
 from repro.matching.decomposition import build_search_plan, plan_connected_order
 from repro.matching.index import (
@@ -95,9 +95,8 @@ class MatchingStats:
     backtracks: int = 0
     matches_found: int = 0
     # incremental-maintenance passes driven through this engine (bumped by
-    # IncrementalMatcher.apply_delta): the counter the batched-repair benchmark
-    # asserts on — batching N independent repairs must need fewer passes than
-    # N one-at-a-time repairs
+    # IncrementalMatcher.apply_delta): one per applied repair in a drain and
+    # one per session commit, so it shows how many deltas were maintained
     maintenance_passes: int = 0
     # candidate-index prune counters: how many candidates the label buckets
     # offered at root enumerations, how many survived in the value buckets
@@ -212,9 +211,6 @@ class VF2Matcher:
     use_decomposition:
         Use pivot selection + connected ordering (True) or declaration order
         (False).
-    time_budget:
-        Optional wall-clock budget in seconds; exceeding it raises
-        :class:`MatchTimeout`.
 
     A matcher instance is cheap to keep around and is *designed* to be reused
     across many searches of the same patterns: the per-pattern search plan is
@@ -225,7 +221,6 @@ class VF2Matcher:
     candidate_index: CandidateIndex | None = None
     use_decomposition: bool = True
     use_cost_planner: bool = True
-    time_budget: float | None = None
     stats: MatchingStats = field(default_factory=MatchingStats)
     _profiles: dict[int, _PatternProfile] = field(default_factory=dict, repr=False)
 
@@ -258,7 +253,6 @@ class VF2Matcher:
                      limit: int | None = None) -> Iterator[Match]:
         """Lazily yield matches."""
         started = time.perf_counter()
-        deadline = started + self.time_budget if self.time_budget is not None else None
 
         profile = self._profile(pattern)
         order = self._variable_order(profile, seed)
@@ -282,7 +276,7 @@ class VF2Matcher:
                 return
 
         emitted = 0
-        for match in self._backtrack(profile, order, 0, assignment, used_nodes, deadline):
+        for match in self._backtrack(profile, order, 0, assignment, used_nodes):
             yield match
             emitted += 1
             self.stats.matches_found += 1
@@ -419,8 +413,8 @@ class VF2Matcher:
         return True
 
     def _backtrack(self, profile: _PatternProfile, order: list[str], depth: int,
-                   assignment: dict[str, str], used_nodes: set[str],
-                   deadline: float | None) -> Iterator[Match]:
+                   assignment: dict[str, str],
+                   used_nodes: set[str]) -> Iterator[Match]:
         """Depth-first search over the variable order, as an explicit-stack
         loop.
 
@@ -440,7 +434,6 @@ class VF2Matcher:
         stats = self.stats
         graph_node = self.graph.node
         node_variables = profile.node_variables
-        time_budget = deadline is not None
         if (self.use_cost_planner and self.use_decomposition
                 and self.candidate_index is not None):
             planner_actual = stats.planner_actual.setdefault(
@@ -455,8 +448,6 @@ class VF2Matcher:
             # Skip over already-seeded variables at the front of the order.
             while depth < total and order[depth] in assignment:
                 depth += 1
-            if time_budget and time.perf_counter() > deadline:
-                raise MatchTimeout(self.time_budget or 0.0)
             if depth == total:
                 return None
             variable = order[depth]

@@ -11,7 +11,6 @@ Usage::
     config = RepairConfig.fast()                       # preset
     config = RepairConfig.naive(max_rounds=20)         # preset + overrides
     config = (RepairConfig.fast()                      # builder chain
-              .batched(max_batch=16)
               .with_budget(max_repairs=500)
               .with_options(check_consistency=True))
 """
@@ -39,19 +38,16 @@ class RepairConfig:
       matcher;
     * ``use_cost_planner`` — the statistics-driven match planner layered on
       top of decomposition (``ablation("planner")`` disables just it);
-    * ``batch_repairs`` / ``max_batch`` — drain the violation queue in
-      batches of region-independent violations maintained under one merged
-      incremental pass (fast and sharded backends);
     * ``workers`` / ``parallel_inline`` / ``min_partition_nodes`` — the
       ``"sharded"`` backend's fan-out knobs (see :meth:`sharded` and
       :mod:`repro.parallel`).
 
     Budgets and ordering: ``cost_model`` orders pending violations (cheapest
     first within a priority tier); ``max_repairs`` caps the repairs of one
-    ``repair()`` call and ``max_rounds`` the naive and greedy loops' rounds;
-    ``match_limit_per_rule`` caps match enumeration per rule pattern during
-    detection (None = unbounded).  ``check_consistency`` runs the static
-    analysis before repairing; ``require_consistency`` escalates an
+    ``repair()`` call and ``max_rounds`` the naive and greedy loops' rounds.
+    Match enumeration is never capped: the fast core's fixpoint check relies
+    on every violating match being stored.  ``check_consistency`` runs the
+    static analysis before repairing; ``require_consistency`` escalates an
     *Inconsistent* verdict from a warning to an error.
     """
 
@@ -60,11 +56,8 @@ class RepairConfig:
     use_decomposition: bool = True
     use_incremental: bool = True
     use_cost_planner: bool = True
-    batch_repairs: bool = False
-    max_batch: int | None = None
     cost_model: CostModel = DEFAULT_COST_MODEL
     max_repairs: int | None = None
-    match_limit_per_rule: int | None = None
     # -- "sharded" backend knobs ---------------------------------------
     #: worker processes (and shards) for the fan-out; <=1 degrades to the
     #: plain fast drain
@@ -154,18 +147,6 @@ class RepairConfig:
             config = replace(config, max_repairs=max_repairs)
         if max_rounds is not None:
             config = replace(config, max_rounds=max_rounds)
-        return config
-
-    def batched(self, enabled: bool = True,
-                max_batch: int | None = None) -> "RepairConfig":
-        """A copy with batched queue draining toggled.
-
-        An omitted ``max_batch`` keeps the current cap (same contract as
-        :meth:`with_budget`).
-        """
-        config = replace(self, batch_repairs=enabled)
-        if max_batch is not None:
-            config = replace(config, max_batch=max_batch)
         return config
 
     def to_matcher_config(self) -> MatcherConfig:

@@ -53,12 +53,10 @@ class ViolationDetector:
 
     def __init__(self, graph: PropertyGraph, rules: RuleSet | Iterable[GraphRepairingRule],
                  matcher: Matcher | None = None,
-                 matcher_config: MatcherConfig | None = None,
-                 match_limit_per_rule: int | None = None) -> None:
+                 matcher_config: MatcherConfig | None = None) -> None:
         self.graph = graph
         self.rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
         self.matcher = matcher or Matcher(graph, matcher_config or MatcherConfig())
-        self.match_limit_per_rule = match_limit_per_rule
 
     def detect(self, rules: Iterable[GraphRepairingRule] | None = None) -> DetectionResult:
         """Enumerate all violations of the given rules (default: all rules)."""
@@ -66,8 +64,7 @@ class ViolationDetector:
         target_rules = list(rules) if rules is not None else self.rules.rules()
         for rule in target_rules:
             with result.timings.measure("matching"):
-                matches = self.matcher.find_matches(rule.pattern,
-                                                    limit=self.match_limit_per_rule)
+                matches = self.matcher.find_matches(rule.pattern)
             result.matches_enumerated += len(matches)
             with result.timings.measure("violation-check"):
                 for match in matches:
@@ -86,18 +83,14 @@ class ViolationDetector:
     def has_violations(self) -> bool:
         """Short-circuiting check whether any rule is violated at all."""
         for rule in self.rules:
-            for match in self.matcher.find_matches(rule.pattern,
-                                                   limit=self.match_limit_per_rule):
+            for match in self.matcher.find_matches(rule.pattern):
                 if rule.is_violation(self.matcher, match):
                     return True
         return False
 
 
 def detect_violations(graph: PropertyGraph, rules: RuleSet,
-                      optimized: bool = True,
-                      match_limit_per_rule: int | None = None) -> DetectionResult:
+                      optimized: bool = True) -> DetectionResult:
     """One-shot detection helper used by examples and the detection-only baseline."""
     config = MatcherConfig.optimized() if optimized else MatcherConfig.naive()
-    detector = ViolationDetector(graph, rules, matcher_config=config,
-                                 match_limit_per_rule=match_limit_per_rule)
-    return detector.detect()
+    return ViolationDetector(graph, rules, matcher_config=config).detect()

@@ -28,8 +28,8 @@ class MaintenanceEvent:
     """One incremental-maintenance pass (or full re-detection round).
 
     ``source`` names the trigger: ``"repair"`` (after one applied repair),
-    ``"repair-batch"`` (one merged pass for a whole batch of independent
-    repairs), ``"commit"`` (a session commit of staged edits), or
+    ``"commit"`` (a session commit of staged edits), ``"shard-merge"`` (one
+    pass over every worker repair a sharded fan-out merged), or
     ``"detection"`` (a full re-detection round of a non-incremental backend).
     """
 

@@ -32,16 +32,11 @@ the one-shot :class:`FastRepairer` facade and the long-lived
 ``repair()`` / ``commit()`` calls, which is what makes its repairs
 incremental *across* invocations, not just within one.
 
-With ``batch_repairs=True`` the core drains the queue in *batches* of
-mutually independent violations (no shared bound nodes): every repair in a
-batch is validated against the live graph and applied, their deltas are
-merged, and **one** incremental-maintenance pass covers the whole batch —
-amortising seeded-search startup across independent repairs.  Independence
-is disjointness of bound nodes only, and a rule also reads structure outside
-them (missing-pattern extensions, witnesses), so a batched drain is **not**
-guaranteed to reach the fixpoint of the sequential one: on the generated
-kg@1500 and social@500 workloads at seed 0 it applies more repairs and ends
-on a different graph.
+The core drains the queue one violation at a time: each applied repair's
+delta gets its own incremental-maintenance pass before the next violation
+is popped, so each violation is validated against stores that reflect every
+earlier repair.  That is the sequence of rule applications the GRR
+semantics define, and it reaches the fixpoint the naive loop reaches.
 
 The three optimisations can be toggled independently for the ablation
 experiment (E5); turning incremental maintenance off is equivalent to running
@@ -135,8 +130,8 @@ class FastRepairCore:
     * :meth:`maintain` folds one :class:`GraphDelta` (a repair's, or a
       session's committed staged edits) into the match stores and requeues
       newly discovered violations;
-    * :meth:`drain` runs the standard repair loop (sequential or batched) and
-      :meth:`finalize` settles the report.
+    * :meth:`drain` runs the repair loop and :meth:`finalize` settles the
+      report.
 
     The core stays usable after ``drain`` — a :class:`~repro.api.RepairSession`
     keeps calling ``maintain``/``drain`` as new edits arrive.  ``close`` only
@@ -196,9 +191,8 @@ class FastRepairCore:
         with self.report.timings.measure("initial-detection"):
             for rule in rules:
                 self.rules_by_pattern[rule.pattern.name] = rule
-                self.incremental.register(
-                    rule.pattern, enumerate_now=True,
-                    limit=config.match_limit_per_rule, missing=rule.missing)
+                self.incremental.register(rule.pattern, enumerate_now=True,
+                                          missing=rule.missing)
             for store in self.incremental.stores():
                 rule = self.rules_by_pattern[store.pattern.name]
                 for match in store:
@@ -227,8 +221,10 @@ class FastRepairCore:
         cost = self.config.cost_model.estimate(self.graph, violation.rule,
                                                violation.match)
         sequence = next(self._counter)
-        self._push_entry((sort_key(violation, cost=cost, sequence=sequence),
-                          sequence, violation))
+        heapq.heappush(self._queue, (sort_key(violation, cost=cost,
+                                              sequence=sequence),
+                                     sequence, violation))
+        self._queued_keys.add(key)
         self.report.violations_detected += 1
         if self._on_violation is not None:
             self._on_violation(violation)
@@ -241,12 +237,6 @@ class FastRepairCore:
             return False
         self._ledger[match.key()] = None
         return True
-
-    def _push_entry(self, entry: tuple[tuple, int, Violation]) -> None:
-        """(Re-)insert a fully formed queue entry without re-counting it as a
-        new detection (no counter bump, no ``on_violation`` event)."""
-        heapq.heappush(self._queue, entry)
-        self._queued_keys.add(entry[2].key())
 
     def has_pending(self) -> bool:
         return bool(self._queue)
@@ -266,20 +256,15 @@ class FastRepairCore:
         return [entry[2] for entry in sorted(self._queue)
                 if entry[2].key() not in self._processed_keys]
 
-    def _pop_entry(self) -> tuple[tuple, int, Violation] | None:
-        """Next queue entry whose identity was not handled yet."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            key = entry[2].key()
-            self._queued_keys.discard(key)
-            if key not in self._processed_keys:
-                return entry
-        return None
-
     def _pop(self) -> Violation | None:
         """Next queued violation whose identity was not handled yet."""
-        entry = self._pop_entry()
-        return entry[2] if entry is not None else None
+        while self._queue:
+            violation = heapq.heappop(self._queue)[2]
+            key = violation.key()
+            self._queued_keys.discard(key)
+            if key not in self._processed_keys:
+                return violation
+        return None
 
     # ------------------------------------------------------------------
     # plan / apply / maintain lifecycle pieces
@@ -316,12 +301,13 @@ class FastRepairCore:
     def maintain(self, delta: GraphDelta, source: str = "repair") -> MaintenanceEvent:
         """Fold one delta into the match stores; queue newly found violations.
 
-        One call is one incremental-maintenance pass, whatever the delta size
-        — batching independent repairs' deltas into a single call is exactly
-        how the batched mode amortises maintenance.  A ``"commit"``-sourced
-        delta comes from *external* edits, which may legitimately re-create a
-        violation an earlier repair already handled — those are requeued;
-        repair-driven deltas never requeue (termination guarantee).
+        One call is one incremental-maintenance pass, whatever the delta size:
+        the drain makes one per applied repair, a session one per commit, and
+        the sharded coordinator one for all merged worker deltas.  A
+        ``"commit"``-sourced delta comes from *external* edits, which may
+        legitimately re-create a violation an earlier repair already handled
+        — those are requeued; repair-driven deltas never requeue (termination
+        guarantee).
         """
         event = MaintenanceEvent(source=source, delta_changes=len(delta))
         if not delta:
@@ -395,10 +381,12 @@ class FastRepairCore:
             self._elapsed += time.perf_counter() - started
 
     def drain(self, accept=None, collector: list[AppliedRepair] | None = None) -> None:
-        """Process the queue to exhaustion (or budget), per the config's mode.
+        """Process the queue to exhaustion (or budget), one repair at a time.
 
-        ``max_repairs`` budgets each drain call independently — a session
-        that exhausted the budget once can repair again on its next call.
+        Each applied repair's delta is maintained before the next violation
+        is popped.  ``max_repairs`` budgets each drain call independently — a
+        session that exhausted the budget once can repair again on its next
+        call.
 
         ``accept`` (optional ``violation -> bool``) restricts the drain to
         the violations it approves; rejected ones are retired unrepaired
@@ -411,98 +399,30 @@ class FastRepairCore:
         """
         self._drain_baseline = self.report.repairs_applied
         with self._timed():
-            if self.config.batch_repairs:
-                self._drain_batched(accept, collector)
-            else:
-                self._drain_sequential(accept, collector)
+            while self._queue and self._budget_left():
+                violation = self._pop()
+                if violation is None:
+                    break
+                if accept is not None and not accept(violation):
+                    self._skip(violation)
+                    continue
+                if not self.validate(violation):
+                    continue
+                outcome = self.execute(violation)
+                if outcome.applied and outcome.delta:
+                    if collector is not None:
+                        collector.append(AppliedRepair(
+                            rule_name=violation.rule.name,
+                            region=frozenset(violation.match.bound_node_ids()),
+                            delta=outcome.delta,
+                            match=violation.match))
+                    self.maintain(outcome.delta, source="repair")
 
     def _skip(self, violation: Violation) -> None:
         """Retire a violation without repairing it (rejected by an ``accept``
         filter): not an obsoletion, not a failure — just not ours to repair."""
         violation.status = ViolationStatus.SKIPPED
         self._processed_keys.add(violation.key())
-
-    def _collect(self, collector: list[AppliedRepair] | None,
-                 violation: Violation, outcome: ExecutionOutcome) -> None:
-        if collector is not None:
-            collector.append(AppliedRepair(
-                rule_name=violation.rule.name,
-                region=frozenset(violation.match.bound_node_ids()),
-                delta=outcome.delta,
-                match=violation.match))
-
-    def _drain_sequential(self, accept=None,
-                          collector: list[AppliedRepair] | None = None) -> None:
-        while self._queue and self._budget_left():
-            violation = self._pop()
-            if violation is None:
-                break
-            if accept is not None and not accept(violation):
-                self._skip(violation)
-                continue
-            if not self.validate(violation):
-                continue
-            outcome = self.execute(violation)
-            if outcome.applied and outcome.delta:
-                self._collect(collector, violation, outcome)
-                self.maintain(outcome.delta, source="repair")
-
-    def _drain_batched(self, accept=None,
-                       collector: list[AppliedRepair] | None = None) -> None:
-        while self._queue and self._budget_left():
-            batch = self._pop_independent_batch()
-            if not batch:
-                break
-            merged = GraphDelta()
-            for entry in batch:
-                violation = entry[2]
-                if accept is not None and not accept(violation):
-                    self._skip(violation)
-                    continue
-                if not self._budget_left():
-                    # over budget mid-batch: restore the untouched remainder
-                    # verbatim (no re-count, no duplicate events)
-                    self._push_entry(entry)
-                    continue
-                if not self.validate(violation):
-                    continue
-                outcome = self.execute(violation)
-                if outcome.applied and outcome.delta:
-                    self._collect(collector, violation, outcome)
-                    merged.extend(outcome.delta.changes)
-            if merged:
-                self.maintain(merged, source="repair-batch")
-
-    def _pop_independent_batch(self) -> list[tuple[tuple, int, Violation]]:
-        """Pop a maximal prefix (in priority order) of region-independent
-        queue entries; conflicting entries are restored for the next batch
-        (verbatim — deferral is not a re-detection).
-
-        Independence = disjoint bound-node sets.  Because every edge a match
-        binds (edge variable or witness) has both endpoints among its bound
-        nodes, node-disjoint matches share no structure, so their repairs
-        cannot invalidate one another and their deltas can be maintained as
-        one merged pass.
-        """
-        max_batch = self.config.max_batch
-        batch: list[tuple[tuple, int, Violation]] = []
-        region: set[str] = set()
-        deferred: list[tuple[tuple, int, Violation]] = []
-        while self._queue:
-            if max_batch is not None and len(batch) >= max_batch:
-                break
-            entry = self._pop_entry()
-            if entry is None:
-                break
-            nodes = entry[2].match.bound_node_ids()
-            if batch and region & nodes:
-                deferred.append(entry)
-                continue
-            batch.append(entry)
-            region |= nodes
-        for entry in deferred:
-            self._push_entry(entry)
-        return batch
 
     # ------------------------------------------------------------------
     # accounting

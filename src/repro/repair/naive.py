@@ -56,8 +56,7 @@ class NaiveRepairer:
         for round_index in range(config.max_rounds):
             report.rounds = round_index + 1
             matcher = Matcher(graph, matcher_config)
-            detector = ViolationDetector(graph, rules, matcher=matcher,
-                                         match_limit_per_rule=config.match_limit_per_rule)
+            detector = ViolationDetector(graph, rules, matcher=matcher)
             with report.timings.measure("detection"):
                 detection = detector.detect()
             report.matches_enumerated += detection.matches_enumerated
@@ -134,9 +133,8 @@ class NaiveRepairer:
             # Budget ended the loop; count what is left with one last detection.
             with report.timings.measure("final-check"):
                 final_matcher = Matcher(graph, matcher_config)
-                final_detection = ViolationDetector(
-                    graph, rules, matcher=final_matcher,
-                    match_limit_per_rule=config.match_limit_per_rule).detect()
+                final_detection = ViolationDetector(graph, rules,
+                                                    matcher=final_matcher).detect()
                 report.matching_stats.merge(final_matcher.stats)
                 final_matcher.close()
             report.remaining_violations = len(final_detection)

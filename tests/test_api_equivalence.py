@@ -4,15 +4,14 @@ The session API must not change *what* gets repaired, only *how* the repair
 state is managed: for every backend (fast / naive / greedy) and every dataset
 generator (kg / movies / social), opening a session over a workload and
 repairing must produce exactly the graph and the headline counters of the
-corresponding one-shot entry point.  The batched drain must agree with the
-sequential drain while performing strictly fewer maintenance passes.
+corresponding one-shot entry point.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import RepairConfig, RepairSession
+from repro.api import RepairConfig, RepairSession, SessionEvents
 from repro.baselines import GreedyDeleteBaseline
 from repro.repair import FastRepairer, NaiveRepairer
 
@@ -87,23 +86,22 @@ class TestSessionMatchesOneShot:
         assert fast_graph.structurally_equal(naive_graph)
 
 
-class TestBatchedDrainEquivalence:
-    def test_batched_matches_sequential_and_saves_passes(self, workload):
-        sequential, seq_report = _session_repair(workload.dirty, workload.rules,
-                                                 RepairConfig.fast())
-        batched, batch_report = _session_repair(workload.dirty, workload.rules,
-                                                RepairConfig.fast().batched())
-
-        # The repaired graphs agree exactly.  (repair *counts* may differ on
-        # overlapping violations — a repair that sequential maintenance would
-        # have obsoleted can still fire inside a batch before converging to
-        # the same fixpoint; exact count equality on independent violations
-        # is asserted in test_api_session.py.)
-        assert batched.structurally_equal(sequential)
-        assert batch_report.reached_fixpoint == seq_report.reached_fixpoint
-        if seq_report.repairs_applied > 1:
-            # batching N violations must need fewer incremental passes than
-            # the one-pass-per-repair sequential drain (MatchingStats surfaces
-            # the counter)
-            assert batch_report.matching_stats.maintenance_passes < \
-                seq_report.matching_stats.maintenance_passes
+class TestSequentialDrain:
+    def test_one_maintenance_pass_per_repair(self, workload):
+        """The drain maintains every applied repair on its own, before the
+        next violation is popped, and a second call finds nothing to do."""
+        sources = []
+        repaired = workload.dirty.copy()
+        with RepairSession(repaired, workload.rules,
+                           events=SessionEvents(
+                               on_maintenance=lambda e: sources.append(e.source))
+                           ) as session:
+            report = session.repair()
+            assert report.reached_fixpoint
+            assert report.matching_stats.maintenance_passes == \
+                report.repairs_applied
+            assert sources == ["repair"] * report.repairs_applied
+            again = session.repair()
+        assert again.reached_fixpoint
+        assert again.repairs_applied == report.repairs_applied
+        assert sources == ["repair"] * report.repairs_applied

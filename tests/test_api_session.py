@@ -1,9 +1,10 @@
 """Tests for the ``repro.api`` package: RepairSession, RepairConfig, the
-Repairer protocol, transactions, batching, and events."""
+Repairer protocol, transactions, the repair drain, and events."""
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.api import (
 from repro.exceptions import SessionStateError
 from repro.graph import ChangeRecorder, GraphDelta, PropertyGraph
 from repro.matching.matcher import MatcherConfig
-from repro.repair import FastRepairer
+from repro.repair.events import MaintenanceEvent
 from repro.repair.cost import CostModel
 from repro.rules import knowledge_graph_rules
 
@@ -42,8 +43,8 @@ def _clustered_kg(clusters: int = 4) -> PropertyGraph:
     Each cluster contributes one incompleteness violation (a person with a
     missing nationality, in its own country/city neighbourhood) and one
     redundancy violation (a duplicated ``livesIn`` edge around a *different*
-    city) — no two violation matches share a node, so every repair is
-    batchable with every other.
+    city) — no two violation matches share a node, so no repair obsoletes
+    another.
     """
     graph = PropertyGraph(name="clustered-kg")
     for i in range(clusters):
@@ -134,16 +135,14 @@ class TestRepairConfig:
 
     def test_builder_chain(self):
         config = (RepairConfig.fast()
-                  .batched(max_batch=8)
                   .with_budget(max_repairs=10, max_rounds=5)
                   .with_cost_model(CostModel(add_edge=2.0))
                   .with_options(check_consistency=True))
-        assert config.batch_repairs and config.max_batch == 8
         assert config.max_repairs == 10 and config.max_rounds == 5
         assert config.cost_model.add_edge == 2.0
         assert config.check_consistency
         # builder steps return copies, the preset is untouched
-        assert not RepairConfig.fast().batch_repairs
+        assert RepairConfig.fast().max_repairs is None
 
     def test_ablation_variants(self):
         """The five E5 variants, pinned field for field."""
@@ -164,13 +163,30 @@ class TestRepairConfig:
             RepairConfig.ablation("warp-drive")
 
     def test_fields(self):
-        """One config, 16 knobs: a new field must be argued for here."""
+        """One config, 13 knobs: a new field must be argued for here."""
         assert [field.name for field in dataclasses.fields(RepairConfig)] == [
             "backend", "use_candidate_index", "use_decomposition",
-            "use_incremental", "use_cost_planner", "batch_repairs",
-            "max_batch", "cost_model", "max_repairs", "match_limit_per_rule",
-            "workers", "parallel_inline", "min_partition_nodes",
-            "max_rounds", "check_consistency", "require_consistency"]
+            "use_incremental", "use_cost_planner", "cost_model",
+            "max_repairs", "workers", "parallel_inline",
+            "min_partition_nodes", "max_rounds", "check_consistency",
+            "require_consistency"]
+
+    def test_matcher_config_fields(self):
+        """The matching layer keeps only the three optimisation switches."""
+        assert [field.name for field in dataclasses.fields(MatcherConfig)] == [
+            "use_candidate_index", "use_decomposition", "use_cost_planner"]
+
+    def test_removed_knobs_are_rejected(self):
+        """The batched drain and the enumeration caps are gone, not ignored
+        (docs/MIGRATION.md, "Batched drain and enumeration caps")."""
+        with pytest.raises(TypeError):
+            RepairConfig(batch_repairs=True)
+        with pytest.raises(TypeError):
+            RepairConfig(match_limit_per_rule=1)
+        with pytest.raises(TypeError):
+            MatcherConfig(time_budget=1.0)
+        with pytest.raises(AttributeError):
+            RepairConfig.fast().batched
 
     def test_sharded_has_one_fanout_path(self):
         """The worker pool is the only fan-out: there is no mode to pick."""
@@ -189,8 +205,7 @@ class TestRepairConfig:
             assert session.config == RepairConfig.fast()
 
     def test_to_matcher_config_follows_each_switch(self):
-        """Every matching knob reaches the matcher config on its own; the
-        matcher-only limits stay at the matcher's defaults."""
+        """Every matching knob reaches the matcher config on its own."""
         switches = ("use_candidate_index", "use_decomposition",
                     "use_cost_planner")
         for switch in switches:
@@ -198,8 +213,6 @@ class TestRepairConfig:
             matcher = config.to_matcher_config()
             for name in switches:
                 assert getattr(matcher, name) is (name != switch), (switch, name)
-            assert matcher.match_limit == MatcherConfig().match_limit
-            assert matcher.time_budget == MatcherConfig().time_budget
 
     def test_one_config_class(self):
         """The packages re-export one class, and the backend registry
@@ -441,60 +454,19 @@ class TestSessionTransactions:
 
 
 # ---------------------------------------------------------------------------
-# Batched repairing
+# The repair drain
 # ---------------------------------------------------------------------------
 
 
-class TestBatchedRepair:
-    def test_batched_equals_sequential_on_independent_violations(self, kg_rules):
-        dirty = _clustered_kg(clusters=4)
-
-        sequential = dirty.copy()
-        with RepairSession(sequential, kg_rules) as session:
-            seq_report = session.repair()
-
-        batched = dirty.copy()
-        with RepairSession(batched, kg_rules,
-                           config=RepairConfig.fast().batched()) as session:
-            batch_report = session.repair()
-
-        assert batched.structurally_equal(sequential)
-        assert batch_report.repairs_applied == seq_report.repairs_applied
-        assert batch_report.reached_fixpoint and seq_report.reached_fixpoint
-        # all 8 independent repairs (2 per cluster) fit in one merged pass
-        assert seq_report.matching_stats.maintenance_passes == \
-            seq_report.repairs_applied
-        assert batch_report.matching_stats.maintenance_passes < \
-            seq_report.matching_stats.maintenance_passes
-        assert batch_report.matching_stats.maintenance_passes == 1
-
-    def test_max_batch_caps_batch_size(self, kg_rules):
-        dirty = _clustered_kg(clusters=4)
-        with RepairSession(dirty, kg_rules,
-                           config=RepairConfig.fast().batched(max_batch=2)) as session:
+class TestRepairDrain:
+    def test_one_maintenance_pass_per_repair(self, kg_rules):
+        """Eight independent violations: eight repairs, each maintained on
+        its own before the next violation is popped."""
+        with RepairSession(_clustered_kg(clusters=4), kg_rules) as session:
             report = session.repair()
         assert report.reached_fixpoint
-        passes = report.matching_stats.maintenance_passes
-        assert 1 < passes < report.repairs_applied
-
-    def test_batched_handles_overlapping_violations(self, tiny_kg, kg_rules):
-        """tiny_kg's violations overlap heavily; batching must still converge
-        to the same fixpoint as the sequential drain."""
-        sequential = tiny_kg.copy()
-        seq_report = FastRepairer().repair(sequential, kg_rules)
-
-        batched = tiny_kg.copy()
-        events = []
-        with RepairSession(batched, kg_rules,
-                           config=RepairConfig.fast().batched(),
-                           events=SessionEvents(on_violation=events.append)) as session:
-            report = session.repair()
-        assert report.reached_fixpoint
-        assert batched.structurally_equal(sequential)
-        # deferring region-conflicting entries to a later batch must not
-        # re-count them as new detections or re-fire on_violation
-        assert report.violations_detected == seq_report.violations_detected
-        assert len(events) == report.violations_detected
+        assert report.repairs_applied == 8
+        assert report.matching_stats.maintenance_passes == report.repairs_applied
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +503,33 @@ class TestSessionEvents:
             session.apply(lambda g: g.add_node("Person", {"name": "Nat"}))
         assert [e.source for e in maintenance] == ["commit"]
 
-    def test_batched_maintenance_events(self, kg_rules):
+    def test_drain_maintenance_events(self, kg_rules):
         maintenance = []
         events = SessionEvents(on_maintenance=maintenance.append)
         with RepairSession(_clustered_kg(3), kg_rules,
-                           config=RepairConfig.fast().batched(),
                            events=events) as session:
-            session.repair()
-        assert [e.source for e in maintenance] == ["repair-batch"]
+            report = session.repair()
+        assert len(maintenance) == report.repairs_applied == 6
+        assert all(e.source == "repair" for e in maintenance)
+
+    def test_maintenance_sources_are_documented(self, small_kg_workload):
+        """Every ``MaintenanceEvent.source`` a fast, naive or sharded session
+        emits (repair, then apply) is one ``MaintenanceEvent`` documents."""
+        documented = set(re.findall(r'``"([a-z-]+)"``',
+                                    MaintenanceEvent.__doc__))
+        seen = set()
+        events = SessionEvents(
+            on_maintenance=lambda event: seen.add(event.source))
+        workload = small_kg_workload
+        for config in (RepairConfig.fast(), RepairConfig.naive(),
+                       RepairConfig.sharded(workers=2, parallel_inline=True,
+                                            min_partition_nodes=1)):
+            graph = workload.dirty.copy()
+            with RepairSession(graph, workload.rules, config=config,
+                               events=events) as session:
+                session.repair()
+                session.apply(lambda g: g.add_node("Person", {"name": "late"}))
+        assert seen == documented
 
 
 # ---------------------------------------------------------------------------

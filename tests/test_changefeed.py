@@ -107,10 +107,10 @@ class TestFeedOrdering:
 class TestReplicaReconstruction:
     @pytest.mark.parametrize("config_factory", [
         RepairConfig.fast,
-        lambda: RepairConfig.fast().batched(),
+        RepairConfig.naive,
         lambda: RepairConfig.sharded(workers=2, parallel_inline=True,
                                      min_partition_nodes=1),
-    ], ids=["fast", "batched", "sharded"])
+    ], ids=["fast", "naive", "sharded"])
     def test_feed_rebuilds_exact_graph(self, workload, config_factory):
         opening = workload.dirty.copy(name="opening")
         live = opening.copy(name="live")

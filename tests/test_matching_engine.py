@@ -187,10 +187,16 @@ class TestMatcherConfigurations:
         assert matcher.exists_extension(nationality, {"p": people["Ada"], "other": "x"})
         matcher.close()
 
-    def test_match_limit_from_config(self, tiny_kg, born_in_pattern):
-        matcher = Matcher(tiny_kg, MatcherConfig(match_limit=1))
-        assert len(matcher.find_matches(born_in_pattern)) == 1
-        matcher.close()
+    def test_limit_is_per_call_only(self, tiny_kg, born_in_pattern):
+        """No configured cap: the facade enumerates every match unless the
+        call itself passes ``limit``."""
+        with Matcher(tiny_kg, MatcherConfig.optimized()) as matcher:
+            assert len(matcher.find_matches(born_in_pattern)) == 4
+            assert len(matcher.find_matches(born_in_pattern, limit=1)) == 1
+            assert matcher.count(born_in_pattern) == 4
+            assert matcher.count(born_in_pattern, limit=2) == 2
+            assert matcher.find_one(born_in_pattern) is not None
+            assert matcher.exists(born_in_pattern)
 
     def test_context_manager_detaches_index(self, tiny_kg, born_in_pattern):
         with Matcher(tiny_kg, MatcherConfig.optimized()) as matcher:

@@ -64,15 +64,15 @@ class TestShardedMatchesSequential:
         assert first.structurally_equal(second)
         assert first_report.repairs_applied == second_report.repairs_applied
 
-    def test_sharded_batched_workers_agree(self, workload):
-        """Workers draining their shard queues in batched mode must land on
-        the same graph (batched == sequential composes with sharding)."""
-        reference, _, _ = _repair(workload.dirty, workload.rules,
-                                  RepairConfig.fast())
+    def test_sharded_matches_naive(self, workload):
+        """Sharding composes with the rule semantics, not only with the fast
+        drain: the sharded graph is the naive algorithm's fixpoint."""
+        reference, ref_report, _ = _repair(workload.dirty, workload.rules,
+                                           RepairConfig.naive())
         repaired, report, _ = _repair(workload.dirty, workload.rules,
-                                      _sharded(3).batched())
+                                      _sharded(3))
         assert repaired.structurally_equal(reference)
-        assert report.reached_fixpoint
+        assert report.reached_fixpoint == ref_report.reached_fixpoint
 
 
 class TestShardedProcessPool:

@@ -1,8 +1,9 @@
 """Unit tests of the ``repro.parallel`` subsystem.
 
 Partitioning invariants, the spawn-safe pool protocol, delta merging with
-conflict detection, graceful single-worker degradation, and batch
-independence of the fast core (the property the whole fan-out rests on).
+conflict detection, graceful single-worker degradation, and the fast
+core's queue identities (the coordinator retires merged worker repairs
+through ``mark_handled``).
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ class TestShardedBackend:
 
 
 # ---------------------------------------------------------------------------
-# batch independence of the fast core (satellite: property-based coverage)
+# queue identities of the fast core (property-based coverage)
 # ---------------------------------------------------------------------------
 
 
@@ -453,46 +454,54 @@ def _regions(draw):
     return regions
 
 
-class TestPopIndependentBatch:
-    def _core_with_queue(self, regions, max_batch=None) -> FastRepairCore:
-        graph = PropertyGraph(name="probe")
-        core = FastRepairCore(graph, RuleSet([], name="empty"),
-                              config=RepairConfig(batch_repairs=True,
-                                                  max_batch=max_batch))
-        for index, region in enumerate(regions):
-            core.push(_violation(region, index))
-        return core
+def _empty_core() -> FastRepairCore:
+    return FastRepairCore(PropertyGraph(name="probe"),
+                          RuleSet([], name="empty"))
 
+
+def _drain_queue(core: FastRepairCore) -> list[tuple]:
+    popped = []
+    while (violation := core._pop()) is not None:
+        popped.append(violation.key())
+    return popped
+
+
+class TestFastCoreQueue:
     @settings(max_examples=60, deadline=None)
     @given(regions=_regions())
-    def test_batches_are_pairwise_region_disjoint(self, regions):
-        core = self._core_with_queue(regions)
-        popped_total = 0
-        while core.has_pending():
-            batch = core._pop_independent_batch()
-            if not batch:
-                break
-            popped_total += len(batch)
-            bound = [entry[2].match.bound_node_ids() for entry in batch]
-            for i in range(len(bound)):
-                for j in range(i + 1, len(bound)):
-                    assert not (bound[i] & bound[j]), \
-                        "a batch must never contain region-overlapping violations"
-            # deferred entries were restored: mark this batch processed so
-            # the loop advances like the real drain does
-            for entry in batch:
-                core._processed_keys.add(entry[2].key())
-        assert popped_total == len(regions), \
-            "every queued violation must eventually be popped exactly once"
+    def test_each_identity_pops_once(self, regions):
+        core = _empty_core()
+        violations = [_violation(region, index)
+                      for index, region in enumerate(regions)]
+        assert all(core.push(violation) for violation in violations)
+        # a second push of a queued identity is refused, not double-queued
+        assert not any(core.push(violation) for violation in violations)
+        assert core.report.violations_detected == len(violations)
+        popped = _drain_queue(core)
+        assert sorted(popped) == sorted(v.key() for v in violations)
+        assert not core.has_pending()
 
-    @settings(max_examples=25, deadline=None)
-    @given(regions=_regions(), max_batch=st.integers(min_value=1, max_value=4))
-    def test_max_batch_is_respected(self, regions, max_batch):
-        core = self._core_with_queue(regions, max_batch=max_batch)
-        while core.has_pending():
-            batch = core._pop_independent_batch()
-            if not batch:
-                break
-            assert len(batch) <= max_batch
-            for entry in batch:
-                core._processed_keys.add(entry[2].key())
+    @settings(max_examples=40, deadline=None)
+    @given(regions=_regions(), data=st.data())
+    def test_handled_identities_are_never_popped(self, regions, data):
+        core = _empty_core()
+        violations = [_violation(region, index)
+                      for index, region in enumerate(regions)]
+        for violation in violations:
+            core.push(violation)
+        handled = {violations[i].key() for i in data.draw(st.sets(
+            st.integers(min_value=0, max_value=len(violations) - 1)))}
+        for key in handled:
+            core.mark_handled(key)
+        expected = [v.key() for v in core.pending()]
+        assert not set(expected) & handled
+        assert _drain_queue(core) == expected
+
+    def test_requeue_forgets_a_handled_identity(self):
+        core = _empty_core()
+        violation = _violation(("n0", "n1"), 0)
+        core.mark_handled(violation.key())
+        assert not core.push(violation)
+        assert core.pending() == []
+        assert core.push(violation, requeue=True)
+        assert _drain_queue(core) == [violation.key()]

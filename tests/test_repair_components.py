@@ -65,16 +65,24 @@ class TestDetector:
         result = detector.detect_for_rule("kg-dedup-person")
         assert set(v.rule.name for v in result) == {"kg-dedup-person"}
 
+    def test_detect_enumerates_every_match(self, tiny_kg, kg_rules):
+        """Detection is uncapped: every match of every rule pattern is
+        enumerated, and every violating one is reported."""
+        result = ViolationDetector(tiny_kg, kg_rules).detect()
+        with Matcher(tiny_kg) as matcher:
+            matches = {rule.name: matcher.find_matches(rule.pattern)
+                       for rule in kg_rules}
+            violating = {rule.name: sum(rule.is_violation(matcher, match)
+                                        for match in matches[rule.name])
+                         for rule in kg_rules}
+        assert result.matches_enumerated == sum(map(len, matches.values()))
+        assert result.per_rule() == {name: count for name, count
+                                     in violating.items() if count}
+
     def test_has_violations_short_circuits(self, tiny_kg, kg_rules, small_kg_dataset):
         assert ViolationDetector(tiny_kg, kg_rules).has_violations()
         clean_detector = ViolationDetector(small_kg_dataset.clean, small_kg_dataset.rules)
         assert not clean_detector.has_violations()
-
-    def test_match_limit_bounds_enumeration(self, tiny_kg, kg_rules):
-        detector = ViolationDetector(tiny_kg, kg_rules, match_limit_per_rule=1)
-        limited = detector.detect()
-        full = ViolationDetector(tiny_kg, kg_rules).detect()
-        assert len(limited) <= len(full)
 
 
 class TestCostModel:
