@@ -197,6 +197,11 @@ class _ValueIndex:
     """One ``(label, key)`` value index: hashable values bucketed by equality,
     unhashable values pooled (they are re-checked by residual predicates).
 
+    ``shared`` holds the ids whose equality bucket has at least two members,
+    plus the unhashable pool: the only nodes that can equal the value of
+    *another* node under the same key — what a same-key ``EQ`` self-join
+    (``a.k == b.k``, ``a`` and ``b`` on distinct nodes) can bind.
+
     Range support is opt-in (:meth:`enable_sorted`): once enabled, hashable
     entries are additionally kept in bisect-ordered ``(value, node_id)``
     arrays — one per orderable type class (numbers, strings) — so ``lt/le/
@@ -206,12 +211,13 @@ class _ValueIndex:
     predicate checks reject the extras, so probes stay complete, never wrong.
     """
 
-    __slots__ = ("values", "unhashable", "total", "sorted_enabled",
+    __slots__ = ("values", "unhashable", "shared", "total", "sorted_enabled",
                  "numbers", "strings", "fuzzy")
 
     def __init__(self) -> None:
         self.values: dict[Any, set[str]] = {}
         self.unhashable: set[str] = set()
+        self.shared: set[str] = set()
         self.total = 0  # entries across equality buckets (distinct = len(values))
         self.sorted_enabled = False
         self.numbers: list[tuple[Any, str]] = []
@@ -223,6 +229,7 @@ class _ValueIndex:
             bucket = self.values.get(value)
         except TypeError:
             self.unhashable.add(node_id)
+            self.shared.add(node_id)
             return
         if bucket is None:
             bucket = self.values[value] = set()
@@ -230,6 +237,10 @@ class _ValueIndex:
         bucket.add(node_id)
         if len(bucket) != before:
             self.total += 1
+            if before == 1:
+                self.shared.update(bucket)
+            elif before:
+                self.shared.add(node_id)
             if self.sorted_enabled:
                 self._sorted_add(value, node_id)
 
@@ -237,15 +248,23 @@ class _ValueIndex:
         try:
             bucket = self.values.get(value)
         except TypeError:
-            self.unhashable.discard(node_id)
+            self.discard_unhashable(node_id)
             return
         if bucket is not None and node_id in bucket:
             bucket.discard(node_id)
             self.total -= 1
-            if not bucket:
+            self.shared.discard(node_id)
+            if len(bucket) == 1:
+                self.shared.difference_update(bucket)
+            elif not bucket:
                 del self.values[value]
             if self.sorted_enabled:
                 self._sorted_discard(value, node_id)
+
+    def discard_unhashable(self, node_id: str) -> None:
+        if node_id in self.unhashable:
+            self.unhashable.discard(node_id)
+            self.shared.discard(node_id)
 
     # -- sorted arrays -------------------------------------------------
 
@@ -335,7 +354,9 @@ class _ValueIndex:
         return result
 
     def equal_to(self, other: "_ValueIndex") -> bool:
-        return self.values == other.values and self.unhashable == other.unhashable
+        return (self.values == other.values
+                and self.unhashable == other.unhashable
+                and self.shared == other.shared)
 
     def sorted_equal_to(self, other: "_ValueIndex") -> bool:
         """Compare the sorted-array views (both sides must have them built)."""
@@ -356,6 +377,10 @@ class CandidateIndex:
         # re-sum the signature counters per probe
         self._out_total: dict[str, int] = {}
         self._in_total: dict[str, int] = {}
+        # (node label, outgoing?, edge label, k) -> nodes with >= k such
+        # edges, counted on demand and valid for _meeting_version only
+        self._meeting_cache: dict[tuple[str, bool, str, int], int] = {}
+        self._meeting_version = -1
         # value buckets, registered lazily per (label, key) the patterns
         # constrain with constant equality; _value_keys_by_label is the
         # maintenance fast path (which keys matter for a given node label)
@@ -363,8 +388,10 @@ class CandidateIndex:
         self._value_keys_by_label: dict[str | None, set[str]] = {}
         # pairs whose value index must keep sorted arrays (range probes)
         self._sorted_pairs: set[tuple[str | None, str]] = set()
-        # per-pattern pushdown specs (strong pattern ref keeps id() stable)
-        self._pushdown_cache: dict[int, tuple[Pattern, dict[str, PushdownSpec]]] = {}
+        # per-pattern pushdown specs and root requirements (see _compiled;
+        # the strong pattern ref keeps id() stable)
+        self._pushdown_cache: dict[int, tuple[Pattern, dict[str, PushdownSpec],
+                                              dict[str, tuple]]] = {}
         self._attached = False
         # bumped on every mutation; the cost planner uses it to skip
         # re-estimating plans while the graph is unchanged
@@ -548,6 +575,40 @@ class CandidateIndex:
         if counter[key] <= 0:
             del counter[key]
 
+    def check_degree_integrity(self) -> bool:
+        """Verify the per-node signatures and degree totals exactly match a
+        recount from the graph (test/debug helper, the signature-side
+        mirror of :meth:`check_value_integrity`)."""
+        graph = self._graph
+        if len(self._out_signature) != graph.num_nodes:
+            return False
+        for node in graph.nodes():
+            out_recount = Counter(edge.label for edge in graph.iter_out_edges(node.id))
+            in_recount = Counter(edge.label for edge in graph.iter_in_edges(node.id))
+            if (self._out_signature.get(node.id) != out_recount
+                    or self._in_signature.get(node.id) != in_recount
+                    or self._out_total.get(node.id) != out_recount.total()
+                    or self._in_total.get(node.id) != in_recount.total()):
+                return False
+        return True
+
+    def _nodes_meeting(self, node_label: str, outgoing: bool, label: str,
+                       required: int) -> int:
+        """How many ``node_label`` nodes have at least ``required`` outgoing
+        (or incoming) ``label`` edges: one pass over the label bucket,
+        memoised until the next mutation."""
+        if self._meeting_version != self.version:
+            self._meeting_cache.clear()
+            self._meeting_version = self.version
+        key = (node_label, outgoing, label, required)
+        count = self._meeting_cache.get(key)
+        if count is None:
+            signatures = self._out_signature if outgoing else self._in_signature
+            count = sum(1 for node_id in self.label_bucket(node_label)
+                        if signatures[node_id][label] >= required)
+            self._meeting_cache[key] = count
+        return count
+
     # ------------------------------------------------------------------
     # value buckets
     # ------------------------------------------------------------------
@@ -573,7 +634,7 @@ class CandidateIndex:
                                                               node_id)
                 else:
                     # no value recorded — make sure no stale entry survives
-                    self._value_indexes[(scope, key)].unhashable.discard(node_id)
+                    self._value_indexes[(scope, key)].discard_unhashable(node_id)
 
     def _build_value_index(self, label: str | None, key: str) -> _ValueIndex:
         index = _ValueIndex()
@@ -646,6 +707,16 @@ class CandidateIndex:
         return (index.total + len(index.unhashable),
                 len(index.values) + (1 if index.unhashable else 0))
 
+    def shared_bucket(self, label: str | None, key: str):
+        """Node ids with ``label`` whose ``key`` value may equal another
+        such node's value (see :class:`_ValueIndex`), or ``None`` when the
+        pair was never registered.  Complete for a same-key ``EQ`` self-join
+        between distinct nodes; a live, read-only internal set."""
+        index = self._value_indexes.get((label, key))
+        if index is None:
+            return None
+        return index.shared
+
     def value_bucket(self, label: str | None, key: str, value: Any):
         """Node ids with ``label`` whose ``key`` property equals ``value``.
 
@@ -683,9 +754,20 @@ class CandidateIndex:
         callers streaming unbounded ad-hoc patterns through one index should
         rebuild it periodically instead.
         """
+        return self._compiled(pattern)[0]
+
+    def _compiled(self, pattern: Pattern) -> tuple[dict[str, PushdownSpec],
+                                                   dict[str, tuple]]:
+        """``(pushdown specs, root requirements)`` of ``pattern``, compiled
+        once.
+
+        The root requirements are, per variable, its labelled signature
+        requirements as ``(outgoing, edge label, count)`` triples — what
+        :meth:`estimated_candidates` reads for a candidate root.
+        """
         cached = self._pushdown_cache.get(id(pattern))
         if cached is not None and cached[0] is pattern:
-            return cached[1]
+            return cached[1], cached[2]
         specs = variable_pushdowns(pattern)
         for variable, spec in specs.items():
             label = pattern.node_variable(variable).label
@@ -701,8 +783,16 @@ class CandidateIndex:
                 self.ensure_sorted_index(label, key)
             for own_key, _op, _other_var, _other_key in spec.dynamic_ranges:
                 self.ensure_sorted_index(label, own_key)
-        self._pushdown_cache[id(pattern)] = (pattern, specs)
-        return specs
+        roots: dict[str, tuple] = {}
+        for variable in pattern.variables:
+            out_required, in_required = pattern_requirements(pattern, variable)
+            roots[variable] = tuple(
+                (outgoing, label, count)
+                for outgoing, required in ((True, out_required),
+                                           (False, in_required))
+                for label, count in required.items() if label is not None)
+        self._pushdown_cache[id(pattern)] = (pattern, specs, roots)
+        return specs, roots
 
     def check_value_integrity(self) -> bool:
         """Verify every registered value index exactly matches a rebuild from
@@ -847,21 +937,33 @@ class CandidateIndex:
 
     def estimated_candidates(self, pattern: Pattern, variable: str,
                              bound: Iterable[str] = ()) -> int:
-        """Live cardinality estimate for one variable: the smallest bucket
-        any of its pushdowns can answer right now.
+        """Live cardinality estimate for one variable: the smallest count
+        any of its signature requirements or pushdowns can answer right now.
 
         ``bound`` is the set of variables already bound when this one is
-        enumerated — dynamic (cross-variable) pushdowns only apply when their
-        other side is in it, in which case the average equality-bucket size
-        (total entries / distinct values) stands in for the unknown probe.
-        This is the cost planner's per-variable statistic; it never touches
-        actual candidates, so it is O(#pushdowns) dictionary lookups plus
-        O(log n) bisects.
+        enumerated.  With nothing bound the variable is a candidate root,
+        enumerated from its label bucket under signature pruning, so each
+        labelled requirement (at least ``k`` outgoing/incoming ``r`` edges)
+        caps the estimate at the number of nodes meeting it — one pass over
+        the label bucket's signatures, memoised until the next mutation, so
+        about the cost of the signature scan the enumeration itself starts
+        with.  Seeded plans never pay it.  Dynamic (cross-variable) pushdowns only apply when their
+        other side is in ``bound``, in which case the average
+        equality-bucket size (total entries / distinct values) stands in for
+        the unknown probe.  Otherwise this is O(#pushdowns) dictionary
+        lookups plus O(log n) bisects.
         """
-        pattern_node = pattern.node_variable(variable)
-        label = pattern_node.label
+        label = pattern.node_variable(variable).label
         estimate = self.label_count(label)
-        spec = self.pushdowns(pattern).get(variable)
+        bound_set = bound if isinstance(bound, (set, frozenset)) else set(bound)
+        specs, roots = self._compiled(pattern)
+        if not bound_set and label is not None:
+            for outgoing, edge_label, required in roots[variable]:
+                meeting = self._nodes_meeting(label, outgoing, edge_label,
+                                              required)
+                if meeting < estimate:
+                    estimate = meeting
+        spec = specs.get(variable)
         if spec is None:
             return estimate
         for key, value in spec.unary:
@@ -880,7 +982,6 @@ class CandidateIndex:
             bucket = self.range_bucket(label, key, op, value)
             if bucket is not None and len(bucket) < estimate:
                 estimate = len(bucket)
-        bound_set = bound if isinstance(bound, (set, frozenset)) else set(bound)
         for own_key, other_var, _other_key in spec.dynamic:
             if other_var not in bound_set:
                 continue

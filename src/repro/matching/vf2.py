@@ -28,7 +28,20 @@ Hot-path design (this is the inner loop of every repair run):
   comparisons whose other side is already bound), and candidate derivation
   intersects the matching ``(label, key, value)`` buckets with the adjacency
   or label pool, so the search never *visits* a node that fails a constant
-  predicate (``nodes_tried`` counts post-pushdown candidates only).
+  predicate (``nodes_tried`` counts post-pushdown candidates only);
+* candidates that provably cannot complete are never visited:
+
+  - **signature-aware roots** — the planner estimates each candidate root
+    of an unseeded plan at the number of nodes meeting its signature
+    requirements, so it roots at the rarest shape, e.g. the person with
+    two ``bornIn`` edges rather than any city;
+  - **parallel-edge multiplicity** — when the join edge is one of ``k``
+    parallel edge-variable pattern edges (same endpoints, label and
+    predicates), a candidate needs ``k`` witnessing data edges to the
+    bound node, counted while the adjacency list is scanned;
+  - **same-key self-joins** — for ``a.k == b.k`` with ``b`` still unbound
+    and of ``a``'s label, ``a`` must hold a value some other node holds
+    too (injectivity), so the index's ``shared`` set filters ``a``.
 
 Range and membership predicates (``lt/le/gt/ge``, ``IN``) push down the same
 way through the index's sorted value buckets, including cross-variable range
@@ -193,6 +206,11 @@ class _PatternProfile:
     # pruning — both compiled once per pattern
     pushdowns: dict[str, PushdownSpec]
     requirements: dict[str, tuple]
+    # id(edge) -> size of its parallel group: edge-variable pattern edges
+    # with the same (source, target, label) and identical predicates, each
+    # needing its own witness (groups of one are not listed; empty without
+    # an index, so the index-free matcher stays the unpruned reference)
+    multiplicity: dict[int, int]
     # cost-planner plan cache: frozenset of seeded variables -> _PlanState
     plans: dict = field(default_factory=dict)
 
@@ -251,38 +269,48 @@ class VF2Matcher:
 
     def iter_matches(self, pattern: Pattern, seed: Mapping[str, str] | None = None,
                      limit: int | None = None) -> Iterator[Match]:
-        """Lazily yield matches."""
+        """Lazily yield matches.
+
+        A match is counted before it is yielded and the elapsed time is
+        accumulated when the generator finishes *or is closed*, so existence
+        probes that stop at the first match (:meth:`find_one`,
+        :meth:`exists`) are recorded too.
+        """
         started = time.perf_counter()
+        stats = self.stats
+        try:
+            profile = self._profile(pattern)
+            order = self._variable_order(profile, seed)
+            assignment: dict[str, str] = {}
+            used_nodes: set[str] = set()
 
-        profile = self._profile(pattern)
-        order = self._variable_order(profile, seed)
-        assignment: dict[str, str] = {}
-        used_nodes: set[str] = set()
+            if seed:
+                for variable, node_id in seed.items():
+                    if not pattern.has_variable(variable):
+                        raise MatchingError(
+                            f"seed variable {variable!r} is not in the pattern")
+                    if not self.graph.has_node(node_id):
+                        return
+                    if node_id in used_nodes:
+                        return
+                    if not pattern.node_variable(variable).matches(
+                            self.graph.node(node_id)):
+                        return
+                    assignment[variable] = node_id
+                    used_nodes.add(node_id)
+                # Seeded variables must also satisfy pattern edges among themselves.
+                if not self._seed_edges_consistent(pattern, assignment):
+                    return
 
-        if seed:
-            for variable, node_id in seed.items():
-                if not pattern.has_variable(variable):
-                    raise MatchingError(f"seed variable {variable!r} is not in the pattern")
-                if not self.graph.has_node(node_id):
-                    return
-                if node_id in used_nodes:
-                    return
-                if not pattern.node_variable(variable).matches(self.graph.node(node_id)):
-                    return
-                assignment[variable] = node_id
-                used_nodes.add(node_id)
-            # Seeded variables must also satisfy pattern edges among themselves.
-            if not self._seed_edges_consistent(pattern, assignment):
-                return
-
-        emitted = 0
-        for match in self._backtrack(profile, order, 0, assignment, used_nodes):
-            yield match
-            emitted += 1
-            self.stats.matches_found += 1
-            if limit is not None and emitted >= limit:
-                break
-        self.stats.elapsed_seconds += time.perf_counter() - started
+            emitted = 0
+            for match in self._backtrack(profile, order, 0, assignment, used_nodes):
+                emitted += 1
+                stats.matches_found += 1
+                yield match
+                if limit is not None and emitted >= limit:
+                    break
+        finally:
+            stats.elapsed_seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # per-pattern compiled state
@@ -308,10 +336,22 @@ class VF2Matcher:
                 by_variable.setdefault(variable, []).append((comparison, variables))
         pushdowns: dict[str, PushdownSpec] = {}
         requirements: dict[str, tuple] = {}
+        groups: list[list[PatternEdge]] = []
         if self.candidate_index is not None:
             pushdowns = self.candidate_index.pushdowns(pattern)
             for variable in pushdowns:
                 requirements[variable] = pattern_requirements(pattern, variable)
+            for edge in pattern.edges:
+                if edge.variable is None:
+                    continue
+                for group in groups:
+                    first = group[0]
+                    if (first.source, first.target, first.label, first.predicates) == \
+                            (edge.source, edge.target, edge.label, edge.predicates):
+                        group.append(edge)
+                        break
+                else:
+                    groups.append([edge])
         profile = _PatternProfile(
             pattern=pattern,
             base_order=self._base_order(pattern),
@@ -323,6 +363,8 @@ class VF2Matcher:
                                    if edge.variable is not None),
             pushdowns=pushdowns,
             requirements=requirements,
+            multiplicity={id(edge): len(group) for group in groups
+                          if len(group) > 1 for edge in group},
         )
         self._profiles[id(pattern)] = profile
         return profile
@@ -559,16 +601,20 @@ class VF2Matcher:
                                       or best_size <= len(filter_pool)):
             edge_store = graph.edge_store
             predicates = best_edge.predicates
-            seen: set[str] = set()
+            # when the join edge is one of ``need`` parallel edge variables,
+            # a candidate needs that many distinct witnesses to the bound node
+            need = profile.multiplicity.get(id(best_edge), 1)
+            witnessed: dict[str, int] = {}
             candidates: list[str] = []
             for edge_id in best_ids:
                 witness = edge_store[edge_id]
                 if predicates and not best_edge.matches(witness):
                     continue
                 candidate = witness.source if best_inbound else witness.target
-                if candidate in seen:
+                count = witnessed.get(candidate, 0) + 1
+                witnessed[candidate] = count
+                if count != need:  # listed once, at its need-th witness
                     continue
-                seen.add(candidate)
                 if filters and not all(candidate in bucket for bucket in filters):
                     continue
                 candidates.append(candidate)
@@ -626,7 +672,19 @@ class VF2Matcher:
                 buckets.append(bucket)
         for own_key, other_variable, other_key in spec.dynamic:
             other_id = assignment.get(other_variable)
-            if other_id is None or not graph.has_node(other_id):
+            if other_id is None:
+                # a same-key self-join (a.k == b.k, b unbound, same label):
+                # injectivity puts b on another node of this label, so the
+                # candidate's equality bucket must have at least two members
+                if (other_key == own_key
+                        and profile.node_variables[other_variable].label == label):
+                    bucket = index.shared_bucket(label, own_key)
+                    if bucket is not None:
+                        if not bucket:
+                            return _DEAD_BRANCH
+                        buckets.append(bucket)
+                continue
+            if not graph.has_node(other_id):
                 continue
             other_properties = graph.node(other_id).properties
             if other_key not in other_properties:

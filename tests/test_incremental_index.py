@@ -85,6 +85,13 @@ def _random_mutation(graph: PropertyGraph, rng: random.Random) -> bool:
     return True
 
 
+def _assert_index_integrity(index: CandidateIndex) -> None:
+    """The maintained signatures, degree totals and value buckets
+    (``shared`` included) equal a recount from the graph."""
+    assert index.check_degree_integrity()
+    assert index.check_value_integrity()
+
+
 def _most_common_triple(graph: PropertyGraph) -> tuple[str, str, str]:
     """The (source label, edge label, target label) with the most edges."""
     histogram = label_pair_histogram(graph)
@@ -163,6 +170,7 @@ class TestInvertedIndexEqualsRecompute:
             if not _random_mutation(graph, rng):
                 continue
             mutations += 1
+            _assert_index_integrity(index)
             incremental.apply_delta(recorder.drain())
             if mutations % 5 == 0:
                 _assert_stores_equal_recompute(incremental, graph, index)
@@ -201,6 +209,7 @@ class TestInvertedIndexEqualsRecompute:
                 if not _random_mutation(graph, rng):
                     continue
                 mutations += 1
+                _assert_index_integrity(core.index)
                 delta = recorder.drain()
                 rechecked += core.maintain(delta, source="commit").rechecked
                 for store in core.incremental.stores():
@@ -214,6 +223,7 @@ class TestInvertedIndexEqualsRecompute:
                     core.drain()
                     # the drain already maintained its repairs' changes
                     recorder.drain()
+                    _assert_index_integrity(core.index)
                     assert core.count_remaining() == _rescan_remaining(core)
                 if mutations % 5 == 0:
                     _assert_stores_equal_recompute(core.incremental, graph, core.index)
@@ -228,9 +238,10 @@ class TestInvertedIndexEqualsRecompute:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_value_buckets_survive_random_mutations(self, seed, mutation_count):
-        """The incrementally-maintained value buckets must equal an index
-        rebuilt from scratch after any mutation sequence (the value-bucket
-        mirror of the MatchStore integrity property above)."""
+        """The incrementally-maintained value buckets (and the signatures)
+        must equal an index rebuilt from scratch after
+        every step of any mutation sequence (the value-bucket mirror of the
+        MatchStore integrity property above)."""
         rng = random.Random(seed)
         graph = load_dataset("kg", scale=30, seed=seed).clean
         index = CandidateIndex(graph)
@@ -245,7 +256,7 @@ class TestInvertedIndexEqualsRecompute:
             if not _random_mutation(graph, rng):
                 continue
             mutations += 1
-        assert index.check_value_integrity()
+            _assert_index_integrity(index)
         # and the probe surface agrees with a from-scratch index
         fresh = CandidateIndex(graph)
         fresh.ensure_value_index("Person", "name")

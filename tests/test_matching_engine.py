@@ -155,6 +155,39 @@ class TestVF2Matcher:
         assert matcher.stats.matches_found == 4
         assert matcher.stats.nodes_tried > 0
 
+    def test_existence_probes_record_hit_and_time(self, tiny_kg, born_in_pattern):
+        """find_one / exists stop at the first match; the hit and the time
+        spent must still reach the stats (a seeded and an unseeded probe)."""
+        matcher = VF2Matcher(graph=tiny_kg, candidate_index=CandidateIndex(tiny_kg))
+        person = next(iter(tiny_kg.node_ids_with_label("Person")))
+        assert matcher.exists(born_in_pattern)
+        assert matcher.stats.matches_found == 1
+        first_elapsed = matcher.stats.elapsed_seconds
+        assert first_elapsed > 0
+        assert matcher.find_one(born_in_pattern, seed={"p": person}) is not None
+        assert matcher.stats.matches_found == 2
+        assert matcher.stats.elapsed_seconds > first_elapsed
+
+    def test_fully_bound_probe_checks_edges_and_comparisons(self, tiny_kg):
+        """A seed binding every node variable still binds edge variables to
+        distinct witnesses, and fails where the parallel edges are missing."""
+        pattern = Pattern(
+            nodes=[PatternNode("p", "Person"), PatternNode("c", "City")],
+            edges=[PatternEdge("p", "c", "livesIn", variable="e1"),
+                   PatternEdge("p", "c", "livesIn", variable="e2")],
+            name="dup-lives-in")
+        matcher = VF2Matcher(graph=tiny_kg, candidate_index=CandidateIndex(tiny_kg))
+        expected = matcher.find_matches(pattern)
+        assert len(expected) == 2  # Ada's two parallel livesIn edges, both ways
+        for match in expected:
+            probed = matcher.find_matches(pattern, seed=match.node_bindings)
+            assert {m.key() for m in probed} == {m.key() for m in expected}
+        bob = next(node.id for node in tiny_kg.nodes()
+                   if node.properties.get("name") == "Bob")
+        paris = next(node.id for node in tiny_kg.nodes()
+                     if node.properties.get("name") == "Paris")
+        assert not matcher.exists(pattern, seed={"p": bob, "c": paris})
+
 
 class TestMatcherConfigurations:
     @pytest.mark.parametrize("config", [

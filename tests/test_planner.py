@@ -173,3 +173,50 @@ class TestPlannerObservability:
         assert after == {m.key() for m in fresh.find_matches(rule.pattern)}
         assert before  # the rule does fire on this workload
         matcher.candidate_index.detach()
+
+
+class TestSignatureAwareRoots:
+    """Root estimates count signatures: a variable whose pattern
+    edges demand k edges of a label is estimated at the number of nodes
+    that have them, so the planner roots at the rarest shape, and initial
+    detection tries only candidates that can complete.  Pinned on the kg
+    fixture (scale 60)."""
+
+    # rule -> (planned order, nodes tried) of one unseeded enumeration
+    EXPECTED = {
+        "kg-add-nationality": (["k", "c", "p"], 81),
+        "kg-org-based-in": (["k", "c", "o"], 21),
+        "kg-single-birthplace": (["p", "c1", "c2"], 10),
+        "kg-single-capital": (["k", "c1", "c2"], 27),
+        "kg-nationality-matches-birthplace": (["k1", "c", "p", "k2"], 81),
+        "kg-dedup-person": (["c", "a", "b"], 47),
+        "kg-dedup-lives-in": (["p", "c"], 6),
+    }
+
+    def test_roots_and_nodes_tried_per_pattern(self, small_kg_workload):
+        graph = small_kg_workload.dirty
+        index = CandidateIndex(graph)
+        observed = {}
+        for rule in small_kg_workload.rules:
+            matcher = VF2Matcher(graph=graph, candidate_index=index)
+            matcher.find_matches(rule.pattern)
+            observed[rule.name] = (matcher.stats.planner_orders[rule.pattern.name],
+                                   matcher.stats.nodes_tried)
+        assert observed == self.EXPECTED
+
+    def test_root_estimate_counts_nodes_meeting_the_signature(self, small_kg_workload):
+        graph = small_kg_workload.dirty
+        index = CandidateIndex(graph)
+        rules = {rule.name: rule for rule in small_kg_workload.rules}
+
+        def persons_with(label: str, at_least: int) -> int:
+            return sum(1 for node_id in graph.node_ids_with_label("Person")
+                       if len(graph.out_edge_ids_with_label(node_id, label)) >= at_least)
+
+        birthplace = rules["kg-single-birthplace"].pattern
+        assert index.estimated_candidates(birthplace, "p") == persons_with("bornIn", 2)
+        lives_in = rules["kg-dedup-lives-in"].pattern
+        assert index.estimated_candidates(lives_in, "p") == persons_with("livesIn", 2)
+        # once a neighbour is bound the variable is joined, not scanned
+        assert index.estimated_candidates(birthplace, "p", {"c1"}) == \
+            index.label_count("Person")

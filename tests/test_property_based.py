@@ -8,6 +8,11 @@ Covered invariants:
   and with the declarative ``check_match`` oracle on random graphs;
 * incremental match maintenance agrees with from-scratch re-enumeration after
   random mutation batches;
+* the pruned enumeration (signature-aware roots, parallel-edge multiplicity,
+  same-key self-joins) finds exactly the naive matcher's matches, unseeded
+  and from fully-bound seeds, on multigraphs with parallel edges, parallel
+  pattern edges whose predicates may differ, and duplicate, missing and
+  list-valued properties;
 * repairing random corrupted graphs of every domain (kg, movies, social)
   reaches a violation-free fixpoint, never lowers quality below the
   do-nothing baseline, and the fast and naive algorithms agree on the
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import RepairConfig, repair_copy
@@ -33,6 +38,8 @@ from repro.matching import (
     PatternEdge,
     PatternNode,
     VF2Matcher,
+    eq,
+    same_value,
 )
 from repro.metrics import graph_facts, repair_quality
 from repro.repair import detect_violations
@@ -160,6 +167,151 @@ class TestMatcherEquivalence:
         fresh = {match.key()
                  for match in VF2Matcher(graph=graph).find_matches(pattern)}
         assert {match.key() for match in store} == fresh
+
+
+# property values a node may carry under ``name``: None = absent; lists are
+# unhashable (copied per node, so equal lists are distinct objects)
+NAME_CHOICES = (None, "x", "y", ["l"], ["l"], ["m"])
+# edge ``w`` values (None = absent) and the predicates a pattern edge may carry
+WEIGHT_CHOICES = (None, 0, 1)
+EDGE_PREDICATES = ((), (eq("w", 0),), (eq("w", 1),))
+
+
+@st.composite
+def multigraph_specs(draw):
+    """``(nodes, edges)``: node ``(label, name index)`` pairs and edge
+    ``(source, target, label, w indexes)`` tuples — one edge per ``w``
+    index, so two or more make parallel same-label edges."""
+    num_nodes = draw(st.integers(min_value=2, max_value=5))
+    nodes = draw(st.lists(
+        st.tuples(st.sampled_from(("A", "A", "B")),
+                  st.integers(0, len(NAME_CHOICES) - 1)),
+        min_size=num_nodes, max_size=num_nodes))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1),
+                  st.sampled_from(("r", "r", "s")),
+                  st.lists(st.integers(0, len(WEIGHT_CHOICES) - 1),
+                           min_size=1, max_size=3)),
+        max_size=8))
+    return nodes, edges
+
+
+@st.composite
+def parallel_pattern_specs(draw):
+    """``(labels, chain, group, self_join)``: node labels of ``v0..vn``;
+    chain edges ``(label, forward)`` joining ``v(i-1)`` and ``vi`` for
+    i >= 2; a parallel group of edge-variable ``v0 -> v1`` edges as
+    ``(label, predicate index)`` pairs (their predicates may differ); and
+    whether ``v0.name == v1.name`` is required."""
+    num_variables = draw(st.integers(min_value=2, max_value=3))
+    labels = draw(st.lists(st.sampled_from(("A", "A", "B")),
+                           min_size=num_variables, max_size=num_variables))
+    chain = draw(st.lists(st.tuples(st.sampled_from(EDGE_LABELS), st.booleans()),
+                          min_size=num_variables - 2,
+                          max_size=num_variables - 2))
+    group_label = draw(st.sampled_from(("r", "r", "s")))
+    group = draw(st.lists(st.integers(0, len(EDGE_PREDICATES) - 1),
+                          min_size=1, max_size=3))
+    self_join = draw(st.booleans())
+    return labels, chain, [(group_label, index) for index in group], self_join
+
+
+def build_multigraph(spec) -> PropertyGraph:
+    nodes, edges = spec
+    graph = PropertyGraph(name="multigraph")
+    ids = []
+    for label, name_index in nodes:
+        name = NAME_CHOICES[name_index]
+        properties = {} if name is None else {
+            "name": list(name) if isinstance(name, list) else name}
+        ids.append(graph.add_node(label, properties).id)
+    for source, target, label, weight_indexes in edges:
+        for weight_index in weight_indexes:
+            weight = WEIGHT_CHOICES[weight_index]
+            graph.add_edge(ids[source], ids[target], label,
+                           {} if weight is None else {"w": weight})
+    return graph
+
+
+def build_parallel_pattern(spec) -> Pattern:
+    labels, chain, group, self_join = spec
+    nodes = [PatternNode(f"v{index}", label) for index, label in enumerate(labels)]
+    edges = [PatternEdge("v0", "v1", label, variable=f"e{index}",
+                         predicates=EDGE_PREDICATES[predicate_index])
+             for index, (label, predicate_index) in enumerate(group)]
+    for index, (label, forward) in enumerate(chain, start=2):
+        source, target = (f"v{index - 1}", f"v{index}") if forward else \
+            (f"v{index}", f"v{index - 1}")
+        edges.append(PatternEdge(source, target, label))
+    comparisons = [same_value("v0", "name", "v1")] if self_join else []
+    return Pattern(nodes=nodes, edges=edges, comparisons=comparisons,
+                   name="parallel-pattern")
+
+
+def _assert_pruned_equals_naive(graph: PropertyGraph, pattern: Pattern,
+                                index: CandidateIndex) -> None:
+    naive = VF2Matcher(graph=graph, candidate_index=None, use_decomposition=False)
+    expected = naive.find_matches(pattern)
+    pruned = VF2Matcher(graph=graph, candidate_index=index)
+    assert {match.key() for match in pruned.find_matches(pattern)} == \
+        {match.key() for match in expected}
+    # fully-bound probes: every match's node bindings as the seed
+    for match in expected:
+        probed = pruned.find_matches(pattern, seed=match.node_bindings)
+        assert match.key() in {found.key() for found in probed}
+
+
+class TestPrunedEnumerationEquivalence:
+    """The candidate prunings only skip candidates that cannot complete a
+    match: index + planner enumeration equals the naive matcher, on a fresh
+    index and on one maintained through further edits."""
+
+    @given(graph_spec=multigraph_specs(), pattern_spec=parallel_pattern_specs(),
+           data=st.data())
+    # a match whose parallel pattern edges carry different predicates (one
+    # witness each), and a same-key self-join over equal list values
+    @example(graph_spec=([("A", 0), ("B", 0)], [(0, 1, "r", [2, 1])]),
+             pattern_spec=(["A", "B"], [], [("r", 2), ("r", 0)], False),
+             data=None)
+    @example(graph_spec=([("A", 3), ("A", 4), ("A", 5)], [(0, 1, "r", [0])]),
+             pattern_spec=(["A", "A"], [], [("r", 0)], True),
+             data=None)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_pruned_enumeration_equals_naive(self, graph_spec, pattern_spec, data):
+        graph = build_multigraph(graph_spec)
+        pattern = build_parallel_pattern(pattern_spec)
+        index = CandidateIndex(graph)
+        index.attach()
+        _assert_pruned_equals_naive(graph, pattern, index)
+        if data is None:
+            return
+        # edits that move degrees and shared value buckets: duplicate or
+        # drop an edge, rename a node (lists included), relabel a node
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            action = data.draw(st.sampled_from(
+                ["duplicate_edge", "remove_edge", "rename", "relabel"]))
+            if action == "duplicate_edge" and graph.num_edges:
+                edge = graph.edge(data.draw(st.sampled_from(graph.edge_ids())))
+                graph.add_edge(edge.source, edge.target, edge.label,
+                               dict(edge.properties))
+            elif action == "remove_edge" and graph.num_edges:
+                graph.remove_edge(data.draw(st.sampled_from(graph.edge_ids())))
+            elif action == "rename":
+                node_id = data.draw(st.sampled_from(graph.node_ids()))
+                name = NAME_CHOICES[data.draw(st.integers(0, len(NAME_CHOICES) - 1))]
+                if name is None:
+                    graph.update_node(node_id, remove_keys=("name",))
+                else:
+                    graph.update_node(node_id, {
+                        "name": list(name) if isinstance(name, list) else name})
+            elif action == "relabel":
+                graph.relabel_node(data.draw(st.sampled_from(graph.node_ids())),
+                                   data.draw(st.sampled_from(("A", "B"))))
+        assert index.check_degree_integrity()
+        assert index.check_value_integrity()
+        _assert_pruned_equals_naive(graph, pattern, index)
+        index.detach()
 
 
 class TestRepairInvariants:

@@ -197,6 +197,28 @@ class TestValueBucketSemantics:
         assert index.check_value_integrity()
         index.detach()
 
+    def test_shared_bucket_tracks_values_held_twice(self):
+        """``shared`` = ids whose value another node also holds, plus the
+        unhashable pool — maintained through the transitions 1 <-> 2."""
+        graph = self._graph()
+        index = CandidateIndex(graph)
+        index.attach()
+        assert index.shared_bucket("Person", "name") is None
+        index.ensure_value_index("Person", "name")
+        assert index.shared_bucket("Person", "name") == {"p1", "p2"}
+        graph.update_node("p4", {"name": "bob"})
+        assert index.shared_bucket("Person", "name") == {"p1", "p2", "p3", "p4"}
+        graph.update_node("p1", {"name": "eve"})
+        assert index.shared_bucket("Person", "name") == {"p3", "p4"}
+        graph.update_node("p2", {"name": ["a", "list"]})
+        assert index.shared_bucket("Person", "name") == {"p2", "p3", "p4"}
+        graph.remove_node("p3")
+        assert index.shared_bucket("Person", "name") == {"p2"}
+        graph.update_node("p2", remove_keys=("name",))
+        assert index.shared_bucket("Person", "name") == frozenset()
+        assert index.check_value_integrity()
+        index.detach()
+
 
 class TestPushdownMatcherEquivalence:
     def _dedup_graph(self):
