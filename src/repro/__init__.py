@@ -57,88 +57,76 @@ The most frequently used names are re-exported here; each subpackage
 exposes its full API.
 """
 
-from repro.analysis import analyze_redundancy, analyze_termination, check_consistency
-from repro.api import (
-    CommitResult,
-    CommittedDelta,
-    MaintenanceEvent,
-    RepairConfig,
-    Repairer,
-    RepairSession,
-    SessionEvents,
-    repair_copy,
-)
-from repro.datasets import build_workload, generate_rules, load_dataset
-from repro.errors import ErrorInjector, ErrorProfile, inject_errors
-from repro.graph import PropertyGraph
-from repro.matching import Matcher, MatcherConfig, Pattern, PatternEdge, PatternNode
-from repro.metrics import change_summary, repair_quality
-from repro.repair import RepairReport, detect_violations
-from repro.rules import (
-    GraphRepairingRule,
-    RuleBuilder,
-    RuleSet,
-    Semantics,
-    conflict_rule,
-    incompleteness_rule,
-    knowledge_graph_rules,
-    movie_rules,
-    parse_rules,
-    redundancy_rule,
-    social_rules,
-)
+import importlib
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "__version__",
+#: public name -> the subpackage defining it.  Resolved on first access
+#: (PEP 562), so ``import repro`` — which every ``repro.*`` import runs,
+#: a spawned pool worker's included — loads no subpackage by itself.
+_EXPORTS = {
     # session API (primary entry point)
-    "RepairSession",
-    "repair_copy",
-    "RepairConfig",
-    "Repairer",
-    "SessionEvents",
-    "MaintenanceEvent",
-    "CommitResult",
-    "CommittedDelta",
-    # service + ingest layers (heavier, so not eagerly re-exported here:
+    "RepairSession": "repro.api",
+    "repair_copy": "repro.api",
+    "RepairConfig": "repro.api",
+    "Repairer": "repro.api",
+    "SessionEvents": "repro.api",
+    "MaintenanceEvent": "repro.api",
+    "CommitResult": "repro.api",
+    "CommittedDelta": "repro.api",
+    # service + ingest layers (heavier, so not re-exported here:
     # ``from repro.service import GraphRepairService`` and
     # ``from repro.ingest import IngestFront, AsyncRepairService``)
     # graph
-    "PropertyGraph",
+    "PropertyGraph": "repro.graph",
     # matching
-    "Pattern",
-    "PatternNode",
-    "PatternEdge",
-    "Matcher",
-    "MatcherConfig",
+    "Pattern": "repro.matching",
+    "PatternNode": "repro.matching",
+    "PatternEdge": "repro.matching",
+    "Matcher": "repro.matching",
+    "MatcherConfig": "repro.matching",
     # rules
-    "GraphRepairingRule",
-    "RuleSet",
-    "RuleBuilder",
-    "Semantics",
-    "incompleteness_rule",
-    "conflict_rule",
-    "redundancy_rule",
-    "parse_rules",
-    "knowledge_graph_rules",
-    "movie_rules",
-    "social_rules",
+    "GraphRepairingRule": "repro.rules",
+    "RuleSet": "repro.rules",
+    "RuleBuilder": "repro.rules",
+    "Semantics": "repro.rules",
+    "incompleteness_rule": "repro.rules",
+    "conflict_rule": "repro.rules",
+    "redundancy_rule": "repro.rules",
+    "parse_rules": "repro.rules",
+    "knowledge_graph_rules": "repro.rules",
+    "movie_rules": "repro.rules",
+    "social_rules": "repro.rules",
     # analysis
-    "check_consistency",
-    "analyze_termination",
-    "analyze_redundancy",
+    "check_consistency": "repro.analysis",
+    "analyze_termination": "repro.analysis",
+    "analyze_redundancy": "repro.analysis",
     # repair
-    "RepairReport",
-    "detect_violations",
+    "RepairReport": "repro.repair",
+    "detect_violations": "repro.repair",
     # errors & datasets
-    "ErrorProfile",
-    "ErrorInjector",
-    "inject_errors",
-    "build_workload",
-    "load_dataset",
-    "generate_rules",
+    "ErrorProfile": "repro.errors",
+    "ErrorInjector": "repro.errors",
+    "inject_errors": "repro.errors",
+    "build_workload": "repro.datasets",
+    "load_dataset": "repro.datasets",
+    "generate_rules": "repro.datasets",
     # metrics
-    "repair_quality",
-    "change_summary",
-]
+    "repair_quality": "repro.metrics",
+    "change_summary": "repro.metrics",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

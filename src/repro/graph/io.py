@@ -22,6 +22,7 @@ from repro.exceptions import SerializationError
 from repro.graph.property_graph import PropertyGraph
 
 FORMAT_VERSION = 1
+GRAPH_FORMAT = "repro-property-graph"
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +33,7 @@ FORMAT_VERSION = 1
 def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
     """Return a JSON-serialisable dictionary representing ``graph``."""
     return {
-        "format": "repro-property-graph",
+        "format": GRAPH_FORMAT,
         "version": FORMAT_VERSION,
         "name": graph.name,
         "nodes": [
@@ -52,6 +53,38 @@ def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
     }
 
 
+def subgraph_to_dict(graph: PropertyGraph, node_ids: set[str],
+                     name: str) -> dict[str, Any]:
+    """The document of ``graph.subgraph(node_ids, name=name)``, read straight
+    off ``graph``'s adjacency without building the subgraph.
+
+    Nodes come in ``graph``'s insertion order, and each kept node brings its
+    out-edges whose target is kept, in adjacency order: the order the
+    subgraph's own stores would hold.  Property dicts are copied, so the
+    document shares no mutable state with ``graph``.  This is the sharded
+    backend's shard payload (:meth:`repro.parallel.partition.Shard.extract`).
+    """
+    nodes = graph.node_store
+    edges = graph.edge_store
+    kept = [node for node_id, node in nodes.items() if node_id in node_ids]
+    edge_docs = []
+    for node in kept:
+        for edge_id in graph.out_edge_ids(node.id):
+            edge = edges[edge_id]
+            if edge.target in node_ids:
+                edge_docs.append({"id": edge_id, "source": edge.source,
+                                  "target": edge.target, "label": edge.label,
+                                  "properties": dict(edge.properties)})
+    return {
+        "format": GRAPH_FORMAT,
+        "version": FORMAT_VERSION,
+        "name": name,
+        "nodes": [{"id": node.id, "label": node.label,
+                   "properties": dict(node.properties)} for node in kept],
+        "edges": edge_docs,
+    }
+
+
 def graph_from_dict(document: dict[str, Any],
                     id_namespace: str | None = None) -> PropertyGraph:
     """Rebuild a :class:`PropertyGraph` from :func:`graph_to_dict` output.
@@ -62,7 +95,7 @@ def graph_from_dict(document: dict[str, Any],
     """
     if not isinstance(document, dict):
         raise SerializationError("graph document must be a JSON object")
-    if document.get("format") != "repro-property-graph":
+    if document.get("format") != GRAPH_FORMAT:
         raise SerializationError(
             f"unexpected document format {document.get('format')!r}")
     graph = PropertyGraph(name=document.get("name", "graph"),

@@ -7,9 +7,11 @@ This is the substrate every other subsystem operates on.  Design goals:
   same predicate — exactly the redundancy errors we repair).
 * **Label-indexed** — pattern matching needs fast per-label candidate lists,
   so the graph maintains node-label and edge-label indexes internally.
-* **Change events** — every mutation emits a :class:`GraphChange` so that the
-  candidate index and the incremental matcher can be maintained without
-  rescanning the graph (the core of the paper's "efficient" algorithms).
+* **Change events** — every mutation emits a :class:`GraphChange` to the
+  graph's listeners so that the candidate index and the incremental matcher
+  can be maintained without rescanning the graph (the core of the paper's
+  "efficient" algorithms).  A graph nobody listens to builds no records, so
+  bulk builds (copies, subgraphs, documents loaded into a worker) stay cheap.
 * **Deterministic iteration** — node/edge dictionaries are insertion-ordered,
   so experiments are reproducible run to run.
 
@@ -348,10 +350,11 @@ class PropertyGraph:
         self._out_edges[node_id] = {}
         self._in_edges[node_id] = {}
         self._nodes_by_label.setdefault(label, set()).add(node_id)
-        self._emit(GraphChange(kind=ChangeKind.ADD_NODE, node_id=node_id,
-                               touched_nodes=(node_id,),
-                               details={"label": label,
-                                        "properties": dict(node.properties)}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.ADD_NODE, node_id=node_id,
+                                   touched_nodes=(node_id,),
+                                   details={"label": label,
+                                            "properties": dict(node.properties)}))
         return node
 
     def add_edge(self, source: NodeId, target: NodeId, label: Label,
@@ -373,22 +376,24 @@ class PropertyGraph:
                     properties=dict(properties or {}))
         self._edges[edge_id] = edge
         self._attach_edge_to_indexes(edge)
-        self._emit(GraphChange(kind=ChangeKind.ADD_EDGE, edge_id=edge_id,
-                               touched_nodes=(source, target),
-                               details={"label": label, "source": source,
-                                        "target": target,
-                                        "properties": dict(edge.properties)}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.ADD_EDGE, edge_id=edge_id,
+                                   touched_nodes=(source, target),
+                                   details={"label": label, "source": source,
+                                            "target": target,
+                                            "properties": dict(edge.properties)}))
         return edge
 
     def remove_edge(self, edge_id: EdgeId) -> Edge:
         """Delete an edge; returns the removed :class:`Edge`."""
         edge = self.edge(edge_id)
         self._detach_edge(edge)
-        self._emit(GraphChange(kind=ChangeKind.REMOVE_EDGE, edge_id=edge_id,
-                               touched_nodes=(edge.source, edge.target),
-                               details={"label": edge.label, "source": edge.source,
-                                        "target": edge.target,
-                                        "properties": dict(edge.properties)}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.REMOVE_EDGE, edge_id=edge_id,
+                                   touched_nodes=(edge.source, edge.target),
+                                   details={"label": edge.label, "source": edge.source,
+                                            "target": edge.target,
+                                            "properties": dict(edge.properties)}))
         return edge
 
     def remove_node(self, node_id: NodeId) -> Node:
@@ -409,12 +414,13 @@ class PropertyGraph:
         del self._in_edges[node_id]
         self._discard_from_index(self._nodes_by_label, node.label, node_id)
         touched.discard(node_id)
-        self._emit(GraphChange(kind=ChangeKind.REMOVE_NODE, node_id=node_id,
-                               touched_nodes=tuple(touched),
-                               details={"label": node.label,
-                                        "properties": dict(node.properties),
-                                        "removed_edges": tuple(removed_edges),
-                                        "removed_edge_specs": tuple(removed_specs)}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.REMOVE_NODE, node_id=node_id,
+                                   touched_nodes=tuple(touched),
+                                   details={"label": node.label,
+                                            "properties": dict(node.properties),
+                                            "removed_edges": tuple(removed_edges),
+                                            "removed_edge_specs": tuple(removed_specs)}))
         return node
 
     def update_node(self, node_id: NodeId, properties: Mapping[str, Any] | None = None,
@@ -427,9 +433,10 @@ class PropertyGraph:
         if properties:
             node.properties.update(properties)
         node.invalidate_signature()
-        self._emit(GraphChange(kind=ChangeKind.UPDATE_NODE, node_id=node_id,
-                               touched_nodes=(node_id,),
-                               details={"before": before, "after": dict(node.properties)}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.UPDATE_NODE, node_id=node_id,
+                                   touched_nodes=(node_id,),
+                                   details={"before": before, "after": dict(node.properties)}))
         return node
 
     def update_edge(self, edge_id: EdgeId, properties: Mapping[str, Any] | None = None,
@@ -442,9 +449,10 @@ class PropertyGraph:
         if properties:
             edge.properties.update(properties)
         edge.invalidate_signature()
-        self._emit(GraphChange(kind=ChangeKind.UPDATE_EDGE, edge_id=edge_id,
-                               touched_nodes=(edge.source, edge.target),
-                               details={"before": before, "after": dict(edge.properties)}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.UPDATE_EDGE, edge_id=edge_id,
+                                   touched_nodes=(edge.source, edge.target),
+                                   details={"before": before, "after": dict(edge.properties)}))
         return edge
 
     def relabel_node(self, node_id: NodeId, new_label: Label) -> Node:
@@ -458,9 +466,10 @@ class PropertyGraph:
         node.invalidate_signature()
         new_label = node.label
         self._nodes_by_label.setdefault(new_label, set()).add(node_id)
-        self._emit(GraphChange(kind=ChangeKind.RELABEL_NODE, node_id=node_id,
-                               touched_nodes=(node_id,),
-                               details={"before": old_label, "after": new_label}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.RELABEL_NODE, node_id=node_id,
+                                   touched_nodes=(node_id,),
+                                   details={"before": old_label, "after": new_label}))
         return node
 
     def relabel_edge(self, edge_id: EdgeId, new_label: Label) -> Edge:
@@ -478,9 +487,10 @@ class PropertyGraph:
         self._edges_by_label.setdefault(new_label, set()).add(edge_id)
         self._out_by_label.setdefault((edge.source, new_label), {})[edge_id] = None
         self._in_by_label.setdefault((edge.target, new_label), {})[edge_id] = None
-        self._emit(GraphChange(kind=ChangeKind.RELABEL_EDGE, edge_id=edge_id,
-                               touched_nodes=(edge.source, edge.target),
-                               details={"before": old_label, "after": new_label}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.RELABEL_EDGE, edge_id=edge_id,
+                                   touched_nodes=(edge.source, edge.target),
+                                   details={"before": old_label, "after": new_label}))
         return edge
 
     def merge_nodes(self, keep_id: NodeId, merge_id: NodeId,
@@ -542,19 +552,20 @@ class PropertyGraph:
         self._discard_from_index(self._nodes_by_label, merge.label, merge_id)
         touched.discard(merge_id)
 
-        self._emit(GraphChange(kind=ChangeKind.MERGE_NODES, node_id=keep_id,
-                               touched_nodes=tuple(touched),
-                               details={"merged": merge_id,
-                                        "merged_label": merge.label,
-                                        "merged_properties": merged_properties,
-                                        "keep_properties_before": keep_properties_before,
-                                        "keep_properties_after": dict(keep.properties),
-                                        "prefer_kept_properties": prefer_kept_properties,
-                                        "drop_duplicate_edges": drop_duplicate_edges,
-                                        "added_edges": tuple(added_edges),
-                                        "added_edge_specs": added_specs,
-                                        "removed_edges": tuple(removed_edges),
-                                        "removed_edge_specs": tuple(removed_specs)}))
+        if self._listeners:
+            self._emit(GraphChange(kind=ChangeKind.MERGE_NODES, node_id=keep_id,
+                                   touched_nodes=tuple(touched),
+                                   details={"merged": merge_id,
+                                            "merged_label": merge.label,
+                                            "merged_properties": merged_properties,
+                                            "keep_properties_before": keep_properties_before,
+                                            "keep_properties_after": dict(keep.properties),
+                                            "prefer_kept_properties": prefer_kept_properties,
+                                            "drop_duplicate_edges": drop_duplicate_edges,
+                                            "added_edges": tuple(added_edges),
+                                            "added_edge_specs": added_specs,
+                                            "removed_edges": tuple(removed_edges),
+                                            "removed_edge_specs": tuple(removed_specs)}))
         return keep
 
     # ------------------------------------------------------------------
@@ -620,13 +631,22 @@ class PropertyGraph:
         return sub
 
     def neighborhood(self, node_ids: Iterable[NodeId], hops: int = 1) -> set[NodeId]:
-        """Node ids within ``hops`` undirected hops of any seed node (seeds included)."""
-        frontier = {node_id for node_id in node_ids if self.has_node(node_id)}
+        """Node ids within ``hops`` undirected hops of any seed node (seeds included).
+
+        Walks the adjacency dicts and the edge store directly, building no
+        per-node :class:`Edge` lists: the partition halos and the sharded
+        backend's halo checks call this over whole shard cores.
+        """
+        edges, out_edges, in_edges = self._edges, self._out_edges, self._in_edges
+        frontier = {node_id for node_id in node_ids if node_id in self._nodes}
         visited = set(frontier)
         for _ in range(hops):
             next_frontier: set[NodeId] = set()
             for node_id in frontier:
-                next_frontier.update(self.neighbors(node_id))
+                next_frontier.update([edges[edge_id].target
+                                      for edge_id in out_edges[node_id]])
+                next_frontier.update([edges[edge_id].source
+                                      for edge_id in in_edges[node_id]])
             next_frontier -= visited
             if not next_frontier:
                 break

@@ -20,39 +20,41 @@ See ``docs/PARALLEL.md`` for the architecture and the determinism /
 equivalence guarantees.
 """
 
-from repro.parallel.backend import FanoutReport, ShardedRepairer
-from repro.parallel.merge import AcceptedRepair, DeltaMerger, MergeOutcome
-from repro.parallel.pool import PoolStats, WorkerPool
-from repro.parallel.replica import DeltaProjection, project_delta
-from repro.parallel.partition import (
-    Shard,
-    ShardPlan,
-    partition_graph,
-    rule_radius,
-)
-from repro.parallel.worker import (
-    ShardResult,
-    ShardWorkerState,
-    shard_from_payload,
-    shard_payload,
-)
+import importlib
 
-__all__ = [
-    "ShardedRepairer",
-    "FanoutReport",
-    "WorkerPool",
-    "PoolStats",
-    "DeltaProjection",
-    "project_delta",
-    "ShardWorkerState",
-    "DeltaMerger",
-    "MergeOutcome",
-    "AcceptedRepair",
-    "Shard",
-    "ShardPlan",
-    "partition_graph",
-    "rule_radius",
-    "ShardResult",
-    "shard_payload",
-    "shard_from_payload",
-]
+#: public name -> the submodule defining it.  Resolved on first access
+#: (PEP 562), so a spawned pool worker — which unpickles
+#: ``repro.parallel.pool._pool_worker_main`` and so runs this file — loads
+#: only the modules it runs, not the coordinator side.
+_EXPORTS = {
+    "ShardedRepairer": "repro.parallel.backend",
+    "FanoutReport": "repro.parallel.backend",
+    "WorkerPool": "repro.parallel.pool",
+    "PoolStats": "repro.parallel.pool",
+    "DeltaProjection": "repro.parallel.replica",
+    "project_delta": "repro.parallel.replica",
+    "ShardWorkerState": "repro.parallel.worker",
+    "DeltaMerger": "repro.parallel.merge",
+    "MergeOutcome": "repro.parallel.merge",
+    "AcceptedRepair": "repro.parallel.merge",
+    "Shard": "repro.parallel.partition",
+    "ShardPlan": "repro.parallel.partition",
+    "partition_graph": "repro.parallel.partition",
+    "rule_radius": "repro.parallel.partition",
+    "ShardResult": "repro.parallel.worker",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -59,7 +59,7 @@ from repro.parallel.partition import (
 )
 from repro.parallel.pool import WorkerPool
 from repro.parallel.replica import project_delta
-from repro.parallel.worker import ShardResult, shard_payload
+from repro.parallel.worker import ShardResult
 from repro.repair.events import MaintenanceEvent
 from repro.repair.executor import ExecutionOutcome
 from repro.repair.fast import FastRepairCore
@@ -419,8 +419,7 @@ class ShardedRepairer:
                           frontier=set())
         tracker.core = shard.core
         tracker.nodes = shard.node_ids()
-        return (shard_payload(shard.extract(self._graph)),
-                frozenset(shard.core))
+        return shard.extract(self._graph), frozenset(shard.core)
 
     def _recovery_rebinder(self, key: str) -> tuple:
         """Fresh bind arguments for ``key`` — the pool's mid-barrier recovery

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.graph.io import subgraph_to_dict
 from repro.graph.property_graph import PropertyGraph
 from repro.rules.grr import GraphRepairingRule, RuleSet
 
@@ -101,12 +102,15 @@ class Shard:
     def node_ids(self) -> set[str]:
         return self.core | self.halo
 
-    def extract(self, graph: PropertyGraph) -> PropertyGraph:
-        """The shard's working copy: the induced subgraph over core + halo,
-        with id generation namespaced so shard-created ids never collide."""
-        return graph.subgraph(self.node_ids(),
-                              name=f"{graph.name}-{self.namespace}",
-                              id_namespace=self.namespace)
+    def extract(self, graph: PropertyGraph) -> dict:
+        """The shard's working copy as a spawn-safe graph document: the
+        induced subgraph over core + halo, read straight off ``graph``'s
+        adjacency (:func:`repro.graph.io.subgraph_to_dict`).  The worker
+        rebuilds it with ``graph_from_dict(document,
+        id_namespace=self.namespace)``, so ids it creates never collide with
+        the primary's or another shard's."""
+        return subgraph_to_dict(graph, self.node_ids(),
+                                name=f"{graph.name}-{self.namespace}")
 
 
 @dataclass

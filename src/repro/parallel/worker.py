@@ -4,11 +4,12 @@ A worker process repairs its shard with no access to the coordinator's
 memory.  Everything it needs arrives in a
 :class:`~repro.parallel.pool.WorkerPool` ``bind`` message:
 
-* the shard's working copy as a **plain-dict payload**
-  (:func:`shard_payload`, i.e. :func:`repro.graph.io.graph_to_dict`) rather
-  than a live :class:`~repro.graph.PropertyGraph` — no listeners, no shared
-  indexes, nothing process-specific, safe for the ``spawn`` start method on
-  every platform;
+* the shard's working copy as a **plain-dict graph document**
+  (:meth:`repro.parallel.partition.Shard.extract`, in
+  :func:`repro.graph.io.graph_to_dict` form) rather than a live
+  :class:`~repro.graph.PropertyGraph` — no listeners, no shared indexes,
+  nothing process-specific, safe for the ``spawn`` start method on every
+  platform;
 * the pickled rule set and :class:`~repro.repair.config.RepairConfig`
   (both are declarative object trees — patterns, predicate dataclasses,
   cost models — with no callables, by design);
@@ -26,8 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.graph.delta import GraphDelta, apply_inverse, recording, replay_delta
-from repro.graph.io import graph_from_dict, graph_to_dict
-from repro.graph.property_graph import PropertyGraph
+from repro.graph.io import graph_from_dict
 from repro.repair.config import RepairConfig
 from repro.repair.fast import AppliedRepair, FastRepairCore, make_ownership_filter
 from repro.rules.grr import RuleSet
@@ -73,16 +73,6 @@ class ShardResult:
     spans: list = field(default_factory=list)
 
 
-def shard_payload(graph: PropertyGraph) -> dict:
-    """Serialise a shard working copy into its spawn-safe payload."""
-    return graph_to_dict(graph)
-
-
-def shard_from_payload(payload: dict, namespace: str) -> PropertyGraph:
-    """Rebuild a worker-side graph from a payload, with namespaced ids."""
-    return graph_from_dict(payload, id_namespace=namespace)
-
-
 class ShardWorkerState:
     """One standing shard replica inside a pool worker.
 
@@ -104,7 +94,7 @@ class ShardWorkerState:
 
     def __init__(self, payload: dict, namespace: str, core: frozenset[str],
                  rules: RuleSet, config: RepairConfig) -> None:
-        self.graph = shard_from_payload(payload, namespace)
+        self.graph = graph_from_dict(payload, id_namespace=namespace)
         self.namespace = namespace
         self.owned = frozenset(core)
         self.core_state = FastRepairCore(self.graph, rules, config=config)

@@ -8,6 +8,7 @@ through ``mark_handled``).
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -15,17 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import RepairConfig, RepairSession, available_backends, build_backend
+from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.property_graph import PropertyGraph
 from repro.matching.pattern import Match, Pattern, PatternEdge, PatternNode
 from repro.parallel import (
     DeltaMerger,
     ShardedRepairer,
+    Shard,
     ShardWorkerState,
     WorkerPool,
     partition_graph,
     rule_radius,
-    shard_from_payload,
-    shard_payload,
 )
 from repro.parallel.worker import ShardResult
 from repro.repair.fast import AppliedRepair, FastRepairCore
@@ -97,7 +98,8 @@ class TestPartitionGraph:
     def test_extract_namespaces_new_ids(self, small_kg_workload):
         plan = self._plan(small_kg_workload)
         shard = plan.shards[0]
-        working = shard.extract(small_kg_workload.dirty)
+        payload = shard.extract(small_kg_workload.dirty)
+        working = graph_from_dict(payload, id_namespace=shard.namespace)
         created = working.add_node("Person", {"name": "new"})
         assert created.id.startswith("s0:")
 
@@ -112,6 +114,74 @@ class TestPartitionGraph:
             partition_graph(small_kg_workload.dirty, 0, 1)
 
 
+_PROPERTIES = st.dictionaries(st.sampled_from(("name", "since")),
+                              st.one_of(st.integers(0, 3), st.text(max_size=2)),
+                              max_size=2)
+
+
+@st.composite
+def _multigraphs(draw):
+    """Small multigraphs with self-loops, parallel same-label edges,
+    isolated nodes and properties.  Node and edge ids are drawn as
+    permutations, so insertion order, adjacency order and id order differ."""
+    count = draw(st.integers(min_value=0, max_value=8))
+    graph = PropertyGraph(name="g")
+    node_ids = draw(st.permutations([f"n{i}" for i in range(count)]))
+    for node_id in node_ids:
+        graph.add_node(draw(st.sampled_from(("A", "B"))), draw(_PROPERTIES),
+                       node_id=node_id)
+    if node_ids:
+        specs = draw(st.lists(
+            st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids),
+                      st.sampled_from(("r", "r", "s")), _PROPERTIES),
+            max_size=20))
+        edge_ids = draw(st.permutations([f"e{i}" for i in range(len(specs))]))
+        for edge_id, (source, target, label, properties) in zip(edge_ids, specs):
+            graph.add_edge(source, target, label, properties, edge_id=edge_id)
+    return graph
+
+
+def _reference_neighborhood(graph, seeds, hops):
+    """Breadth-first search over :meth:`PropertyGraph.neighbors`."""
+    visited = {seed for seed in seeds if graph.has_node(seed)}
+    frontier = set(visited)
+    for _ in range(hops):
+        frontier = {neighbour for node_id in frontier
+                    for neighbour in graph.neighbors(node_id)} - visited
+        visited |= frontier
+    return visited
+
+
+class TestExtractionEquivalence:
+    """The fan-out's adjacency walks against the graph-level references
+    they replaced: shard documents against ``graph_to_dict(subgraph)``,
+    halos against a breadth-first search over ``neighbors()``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=_multigraphs(), data=st.data())
+    def test_extract_equals_subgraph_document(self, graph, data):
+        node_ids = graph.node_ids()
+        kept = data.draw(st.lists(st.sampled_from(node_ids), unique=True)
+                         if node_ids else st.just([]))
+        split = data.draw(st.integers(min_value=0, max_value=len(kept)))
+        shard = Shard(index=data.draw(st.integers(0, 3)),
+                      core=set(kept[:split]), halo=set(kept[split:]),
+                      frontier=set())
+        expected = graph_to_dict(graph.subgraph(
+            shard.node_ids(), name=f"{graph.name}-{shard.namespace}",
+            id_namespace=shard.namespace))
+        assert json.dumps(shard.extract(graph)) == json.dumps(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=_multigraphs(), data=st.data())
+    def test_neighborhood_equals_reference_bfs(self, graph, data):
+        seeds = data.draw(st.lists(
+            st.sampled_from(graph.node_ids() + ["ghost"]), max_size=3))
+        for hops in range(4):
+            assert graph.neighborhood(seeds, hops=hops) \
+                == _reference_neighborhood(graph, seeds, hops)
+
+
 # ---------------------------------------------------------------------------
 # worker protocol
 # ---------------------------------------------------------------------------
@@ -120,7 +190,7 @@ class TestPartitionGraph:
 class TestWorkerProtocol:
     def test_payload_round_trip_preserves_graph(self, small_kg_workload):
         graph = small_kg_workload.dirty
-        rebuilt = shard_from_payload(shard_payload(graph), "s7")
+        rebuilt = graph_from_dict(graph_to_dict(graph), id_namespace="s7")
         assert rebuilt.structurally_equal(graph)
         assert rebuilt.add_node("Person").id.startswith("s7:")
 
@@ -130,21 +200,23 @@ class TestWorkerProtocol:
         """Spawn-safety: every component of a bind command must survive the
         pickling that carries it to a spawned pool worker."""
         graph = small_kg_workload.dirty
-        message = ("bind", "b0:0", shard_payload(graph), "s0",
+        message = ("bind", "b0:0", graph_to_dict(graph), "s0",
                    frozenset(graph.node_ids()), rules_factory(),
                    RepairConfig())
         clone = pickle.loads(pickle.dumps(message))
         assert clone[:2] == ("bind", "b0:0") and clone[3] == "s0"
         assert clone[5].names() == rules_factory().names()
-        assert shard_from_payload(clone[2], "s0").structurally_equal(graph)
+        assert graph_from_dict(clone[2], id_namespace="s0") \
+            .structurally_equal(graph)
 
     def test_worker_state_proposes_owned_repairs_then_reverts(
             self, small_kg_workload):
         workload = small_kg_workload
         plan = partition_graph(workload.dirty, 2, rule_radius(workload.rules))
         shard = plan.shards[0]
-        working = shard.extract(workload.dirty)
-        state = ShardWorkerState(shard_payload(working), shard.namespace,
+        payload = shard.extract(workload.dirty)
+        working = graph_from_dict(payload)
+        state = ShardWorkerState(payload, shard.namespace,
                                  frozenset(shard.core), workload.rules,
                                  RepairConfig())
         try:
@@ -164,7 +236,7 @@ class TestWorkerProtocol:
         workload = small_kg_workload
         plan = partition_graph(workload.dirty, 3, rule_radius(workload.rules))
         binds = [(f"k{shard.index}",
-                  shard_payload(shard.extract(workload.dirty)),
+                  shard.extract(workload.dirty),
                   shard.namespace, frozenset(shard.core), workload.rules,
                   RepairConfig())
                  for shard in plan.shards]

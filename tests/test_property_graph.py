@@ -10,7 +10,14 @@ from repro.exceptions import (
     GraphMutationError,
     NodeNotFoundError,
 )
-from repro.graph import ChangeKind, ChangeRecorder, PropertyGraph
+from repro.graph import (
+    ChangeKind,
+    ChangeRecorder,
+    PropertyGraph,
+    graph_from_dict,
+    graph_to_dict,
+    replay_delta,
+)
 
 
 class TestNodeBasics:
@@ -356,6 +363,44 @@ class TestChangeEvents:
         assert len(merges) == 1
         assert merges[0].details["merged"] == b.id
         assert merges[0].details["added_edges"]
+
+
+    @pytest.mark.parametrize("build", [
+        lambda graph: graph.copy(),
+        lambda graph: graph.subgraph(graph.node_ids()),
+        lambda graph: graph_from_dict(graph_to_dict(graph), id_namespace="s0"),
+    ], ids=["copy", "subgraph", "graph_from_dict"])
+    def test_listener_attached_after_bulk_build_sees_every_mutation(
+            self, tiny_kg, build):
+        """A graph with no listeners builds no change records; one attached
+        afterwards still sees every later mutation, completely enough to
+        replay them onto an untouched copy."""
+        built = build(tiny_kg)
+        before = built.copy()
+        recorder = ChangeRecorder()
+        built.add_listener(recorder)
+        a = built.add_node("Person", {"name": "A"})
+        b = built.add_node("Person")
+        c = built.add_node("City")
+        edge = built.add_edge(a.id, b.id, "knows")
+        built.update_node(a.id, {"name": "Ada"})
+        built.update_edge(edge.id, {"since": 2001})
+        built.relabel_node(b.id, "Agent")
+        built.relabel_edge(edge.id, "follows")
+        built.remove_edge(edge.id)
+        built.add_edge(b.id, c.id, "livesIn")
+        built.merge_nodes(a.id, b.id)
+        built.remove_node(c.id)
+        assert [change.kind for change in recorder.delta] == [
+            ChangeKind.ADD_NODE, ChangeKind.ADD_NODE, ChangeKind.ADD_NODE,
+            ChangeKind.ADD_EDGE, ChangeKind.UPDATE_NODE,
+            ChangeKind.UPDATE_EDGE, ChangeKind.RELABEL_NODE,
+            ChangeKind.RELABEL_EDGE, ChangeKind.REMOVE_EDGE,
+            ChangeKind.ADD_EDGE, ChangeKind.MERGE_NODES,
+            ChangeKind.REMOVE_NODE,
+        ]
+        replay_delta(before, recorder.delta)
+        assert before.structurally_equal(built)
 
 
 class TestSlottedElementsAndSignatureCache:

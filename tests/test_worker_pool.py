@@ -26,8 +26,8 @@ import pytest
 from repro.api import RepairConfig, RepairSession
 from repro.exceptions import WorkerPoolError
 from repro.graph.delta import GraphDelta, recording
+from repro.graph.io import graph_to_dict
 from repro.parallel.pool import PoolStats, WorkerPool
-from repro.parallel.worker import shard_payload
 
 WORKLOAD_FIXTURES = ("small_kg_workload", "small_movie_workload",
                      "small_social_workload")
@@ -318,7 +318,7 @@ class TestPoolProtocol:
         rules = small_kg_workload.rules
         config = RepairConfig.fast()
         with WorkerPool(workers=1, inline=True) as pool:
-            pool.bind("whole", shard_payload(graph), "s0",
+            pool.bind("whole", graph_to_dict(graph), "s0",
                       frozenset(graph.node_ids()), rules, config)
             (result,) = pool.repair(["whole"])
             assert result.repairs_applied > 0
@@ -338,7 +338,7 @@ class TestPoolProtocol:
     def test_ship_divergence_reports_stale_not_fatal(self, small_kg_workload):
         graph = small_kg_workload.dirty.copy(name="diverge")
         with WorkerPool(workers=1, inline=True) as pool:
-            pool.bind("r", shard_payload(graph), "s0",
+            pool.bind("r", graph_to_dict(graph), "s0",
                       frozenset(graph.node_ids()),
                       small_kg_workload.rules,
                       RepairConfig.fast())
@@ -376,7 +376,7 @@ class TestPoolProtocol:
 
         plan = FaultPlan(faults=(Fault(site="worker.stop", kind="wedge"),))
         pool = WorkerPool(workers=2, stop_grace=0.25, fault_plan=plan)
-        payload = shard_payload(small_kg_workload.dirty)
+        payload = graph_to_dict(small_kg_workload.dirty)
         pool.bind("k", payload, "s0", frozenset(), small_kg_workload.rules,
                   RepairConfig.fast())
         pool.close()
