@@ -272,9 +272,7 @@ class RepairSession:
                 report.repairs_applied if report else 0,
             "repro_repairs_failed_total":
                 report.repairs_failed if report else 0,
-            "repro_match_nodes_tried_total": stats.nodes_tried,
-            "repro_matches_found_total": stats.matches_found,
-            "repro_maintenance_passes_total": stats.maintenance_passes,
+            **stats.mirror_values(),
         }
 
     def _record_counter_deltas(self, before: dict[str, float]) -> None:

@@ -77,6 +77,7 @@ from repro.matching.index import (
     pattern_requirements,
 )
 from repro.matching.pattern import Match, Pattern, PatternEdge
+from repro.utils.counters import Counters, counter
 
 
 # Sentinel returned by ``_pushdown_buckets`` when an applicable constant
@@ -101,16 +102,20 @@ def _estimates_drifted(baseline: dict, current: dict) -> bool:
 
 
 @dataclass
-class MatchingStats:
-    """Counters describing one matching run (used by benchmarks and tests)."""
+class MatchingStats(Counters):
+    """Counters describing one matching run (used by benchmarks and tests).
 
-    nodes_tried: int = 0
+    ``merge``, ``since`` and ``as_dict`` come from :class:`Counters`; only
+    the planner dicts merge here.
+    """
+
+    nodes_tried: int = counter(mirror="repro_match_nodes_tried_total")
     backtracks: int = 0
-    matches_found: int = 0
+    matches_found: int = counter(mirror="repro_matches_found_total")
     # incremental-maintenance passes driven through this engine (bumped by
     # IncrementalMatcher.apply_delta): one per applied repair in a drain and
     # one per session commit, so it shows how many deltas were maintained
-    maintenance_passes: int = 0
+    maintenance_passes: int = counter(mirror="repro_maintenance_passes_total")
     # candidate-index prune counters: how many candidates the label buckets
     # offered at root enumerations, how many survived in the value buckets
     # actually scanned instead, and how many candidates the index returned
@@ -132,44 +137,13 @@ class MatchingStats:
     elapsed_seconds: float = 0.0
 
     def merge(self, other: "MatchingStats") -> None:
-        self.nodes_tried += other.nodes_tried
-        self.backtracks += other.backtracks
-        self.matches_found += other.matches_found
-        self.maintenance_passes += other.maintenance_passes
-        self.label_bucket_candidates += other.label_bucket_candidates
-        self.value_bucket_candidates += other.value_bucket_candidates
-        self.range_bucket_candidates += other.range_bucket_candidates
-        self.predicate_survivors += other.predicate_survivors
-        self.planner_plans += other.planner_plans
-        self.planner_replans += other.planner_replans
+        super().merge(other)
         self.planner_orders.update(other.planner_orders)
         self.planner_estimated.update(other.planner_estimated)
         for pattern_name, per_variable in other.planner_actual.items():
             mine = self.planner_actual.setdefault(pattern_name, {})
             for variable, count in per_variable.items():
                 mine[variable] = mine.get(variable, 0) + count
-        self.elapsed_seconds += other.elapsed_seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "nodes_tried": self.nodes_tried,
-            "backtracks": self.backtracks,
-            "matches_found": self.matches_found,
-            "maintenance_passes": self.maintenance_passes,
-            "label_bucket_candidates": self.label_bucket_candidates,
-            "value_bucket_candidates": self.value_bucket_candidates,
-            "range_bucket_candidates": self.range_bucket_candidates,
-            "predicate_survivors": self.predicate_survivors,
-            "planner_plans": self.planner_plans,
-            "planner_replans": self.planner_replans,
-            "planner_orders": {name: list(order)
-                               for name, order in self.planner_orders.items()},
-            "planner_estimated": {name: dict(per_variable)
-                                  for name, per_variable in self.planner_estimated.items()},
-            "planner_actual": {name: dict(per_variable)
-                               for name, per_variable in self.planner_actual.items()},
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 @dataclass

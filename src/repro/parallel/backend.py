@@ -42,6 +42,7 @@ pins.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -57,7 +58,7 @@ from repro.parallel.partition import (
     partition_graph,
     rule_radius,
 )
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import PoolStats, WorkerPool
 from repro.parallel.replica import project_delta
 from repro.parallel.worker import ShardResult
 from repro.repair.events import MaintenanceEvent
@@ -86,27 +87,12 @@ class FanoutReport:
     accepted: int = 0
     rejected: int = 0
     conflicts: list[str] = field(default_factory=list)
-    shard_violations_detected: int = 0
-    shard_elapsed_seconds: float = 0.0
-    # summed worker-side search effort: nodes the shard matchers tried, and
-    # how many candidates their value buckets scanned (predicate pushdown at
-    # work inside the workers — the shards rebuild the same candidate index
-    # from their payloads, so the pushdown travels with them)
-    shard_nodes_tried: int = 0
-    shard_value_bucket_candidates: int = 0
-    shard_range_bucket_candidates: int = 0
-    # summed worker-side cost-planner activity (the shards run the same
-    # planner as the sequential core, so these mirror planner_plans /
-    # planner_replans in the coordinator's MatchingStats)
-    shard_planner_plans: int = 0
-    shard_planner_replans: int = 0
-    # -- worker-pool diagnostics -----------------------------------------
-    #: worker processes spawned during this run (0 after warm-up)
-    pool_spawns: int = 0
-    #: full shard payloads shipped this run (first binds + staleness rebinds)
-    pool_binds: int = 0
-    #: incremental delta shipments this run
-    pool_ships: int = 0
+    #: the workers' matcher counters summed over this fan-out's shards
+    #: (each shard ships its own :meth:`MatchingStats.since` delta)
+    shard_stats: MatchingStats = field(default_factory=MatchingStats)
+    #: the worker pool's counters grown during this fan-out (spawns, binds,
+    #: ships, respawns, retries: all 0 after warm-up on a healthy pool)
+    pool: PoolStats = field(default_factory=PoolStats)
     #: shards rebound because a committed delta was not expressible on their
     #: standing replica
     stale_rebinds: int = 0
@@ -116,10 +102,6 @@ class FanoutReport:
     ownership_coverage: float = 0.0
     #: smallest-to-largest owned-core ratio across shards (1.0 = balanced)
     shard_balance: float = 0.0
-    #: workers respawned by pool supervision during this run
-    pool_respawns: int = 0
-    #: shard commands re-driven (rebind + retry) by supervision this run
-    pool_retries: int = 0
     #: this run degraded to the sequential drain (pool failure beyond
     #: supervision, or the circuit breaker refusing the fan-out)
     fallback: bool = False
@@ -328,13 +310,10 @@ class ShardedRepairer:
         fanout = self.last_fanout
         fanout.fallback = True
         fanout.fallback_reason = reason
-        if self.pool is not None:
-            self.pool.stats.fallback_repairs += 1
+        self.pool.stats.bump("fallback_repairs", tenant=self._graph.name,
+                             reason=reason)
         log_event(_log, "warning", "warm-fanout-fallback",
                   tenant=self._graph.name, reason=reason, detail=detail)
-        if telemetry.TELEMETRY.enabled:
-            telemetry.inc("repro_repair_fallbacks_total",
-                          tenant=self._graph.name, reason=reason)
 
     def _fan_out_viable(self) -> bool:
         """The config's own verdict on fanning out (fixed for the backend's
@@ -436,7 +415,7 @@ class ShardedRepairer:
 
     def _fanout(self, pool: WorkerPool) -> None:
         config = self.config
-        stats_before = pool.stats.as_dict()
+        stats_before = copy.copy(pool.stats)
 
         # 0. a pool restart (failure recovery, or a shared pool another
         #    tenant's error shut down) discards every standing replica; a
@@ -544,15 +523,7 @@ class ShardedRepairer:
             with self.core.report.timings.measure("shard-fanout"):
                 results = execute_tasks(pool, trackers, context,
                                         self._recovery_rebinder)
-            stats_after = pool.stats.as_dict()
-            fanout.pool_spawns = stats_after["spawns"] - stats_before["spawns"]
-            fanout.pool_binds = stats_after["binds"] - stats_before["binds"]
-            fanout.pool_ships = stats_after["deltas_shipped"] \
-                - stats_before["deltas_shipped"]
-            fanout.pool_respawns = stats_after["respawns"] \
-                - stats_before["respawns"]
-            fanout.pool_retries = stats_after["retries"] \
-                - stats_before["retries"]
+            fanout.pool = pool.stats.since(stats_before)
             self._fan_in(results)
         # measured after fan-in so adoption/settlement of this run's created
         # elements is reflected: coverage decays as repairs/commits grow the
@@ -580,13 +551,7 @@ class ShardedRepairer:
                         result.spans, process=f"shard-{result.shard_index}")
         for result in results:
             fanout.shard_repairs += result.repairs_applied
-            fanout.shard_violations_detected += result.violations_detected
-            fanout.shard_elapsed_seconds += result.elapsed_seconds
-            fanout.shard_nodes_tried += result.nodes_tried
-            fanout.shard_value_bucket_candidates += result.value_bucket_candidates
-            fanout.shard_range_bucket_candidates += result.range_bucket_candidates
-            fanout.shard_planner_plans += result.planner_plans
-            fanout.shard_planner_replans += result.planner_replans
+            fanout.shard_stats.merge(result.stats)
 
         with self.core.report.timings.measure("shard-merge"):
             outcome: MergeOutcome = DeltaMerger(self._graph).merge(results)

@@ -87,6 +87,7 @@ from repro.repair.config import RepairConfig
 from repro.rules.grr import RuleSet
 from repro.telemetry.log import get_logger, log_event, warn_swallowed
 from repro.testing import faults as _faults
+from repro.utils.counters import Counters, counter
 
 _log = get_logger("parallel.pool")
 
@@ -107,50 +108,40 @@ Rebinder = Callable[[str], tuple]
 
 
 @dataclass
-class PoolStats:
+class PoolStats(Counters):
     """Warm-pool overhead counters (deterministic; asserted by the
     ``service-kg`` benchmark: ``spawns`` must stop growing after warm-up —
-    and by ``chaos-kg``: respawns/retries must match the fault plan)."""
+    and by ``chaos-kg``: respawns/retries must match the fault plan).
+
+    A field with a ``mirror`` is advanced through :meth:`Counters.bump`,
+    which advances that telemetry counter too."""
 
     #: worker processes spawned over the pool's lifetime (respawns included)
-    spawns: int = 0
+    spawns: int = counter(mirror="repro_pool_spawns_total")
     #: full shard payloads shipped (first binds + staleness rebinds)
-    binds: int = 0
+    binds: int = counter(mirror="repro_pool_binds_total")
     #: incremental committed-delta shipments
-    deltas_shipped: int = 0
+    deltas_shipped: int = counter(mirror="repro_pool_ships_total")
     #: individual shard repair commands executed
-    shard_repairs: int = 0
+    shard_repairs: int = counter(mirror="repro_pool_shard_repairs_total")
     #: pool-level repair barriers (one per coordinator fan-out)
     repair_calls: int = 0
     #: fair time-slice leases granted (see :meth:`WorkerPool.lease`)
     leases: int = 0
     #: total seconds lease holders spent queued behind earlier arrivals
-    lease_wait_seconds: float = 0.0
+    lease_wait_seconds: float = counter(0.0, digits=6)
     #: workers observed dead or hung by the supervisor
-    worker_deaths: int = 0
+    worker_deaths: int = counter(mirror="repro_pool_worker_deaths_total")
     #: dead workers replaced in place (inline deaths are simulated)
-    respawns: int = 0
+    respawns: int = counter(mirror="repro_pool_respawns_total")
     #: commands abandoned because their reply deadline expired
     command_timeouts: int = 0
     #: shard commands re-driven after a death or a failed repair
-    retries: int = 0
+    retries: int = counter(mirror="repro_pool_retries_total")
     #: repairs the owning backend degraded to the sequential drain
     #: (incremented by the backend, surfaced here so service health and
     #: benchmarks read one stats object)
-    fallback_repairs: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"spawns": self.spawns, "binds": self.binds,
-                "deltas_shipped": self.deltas_shipped,
-                "shard_repairs": self.shard_repairs,
-                "repair_calls": self.repair_calls,
-                "leases": self.leases,
-                "lease_wait_seconds": round(self.lease_wait_seconds, 6),
-                "worker_deaths": self.worker_deaths,
-                "respawns": self.respawns,
-                "command_timeouts": self.command_timeouts,
-                "retries": self.retries,
-                "fallback_repairs": self.fallback_repairs}
+    fallback_repairs: int = counter(mirror="repro_repair_fallbacks_total")
 
 
 def _handle_command(states: dict, message: tuple) -> tuple[str, object]:
@@ -329,9 +320,7 @@ class WorkerPool:
             daemon=True,
             name=f"repro-pool-worker-{index}")
         process.start()
-        self.stats.spawns += 1
-        if telemetry.TELEMETRY.enabled:
-            telemetry.inc("repro_pool_spawns_total")
+        self.stats.bump("spawns")
         return process
 
     def close(self) -> None:
@@ -548,18 +537,14 @@ class WorkerPool:
             replies[key] = (status, payload)
         elif command == "bind":
             # a recovery rebind outside bind_all: keep the counters honest
-            self.stats.binds += 1
-            if telemetry.TELEMETRY.enabled:
-                telemetry.inc("repro_pool_binds_total", shard=key)
+            self.stats.bump("binds", shard=key)
 
     def _queue_retry(self, key: str, message: tuple, record: bool,
                      outstanding: dict, retried: set,
                      rebinder: Rebinder) -> None:
         """Queue a rebind plus the original repair for one more attempt."""
         retried.add(key)
-        self.stats.retries += 1
-        if telemetry.TELEMETRY.enabled:
-            telemetry.inc("repro_pool_retries_total", shard=key)
+        self.stats.bump("retries", shard=key)
         bind_message = ("bind", key) + tuple(rebinder(key))
         entries = outstanding.setdefault(key, deque())
         entries.append((bind_message, False))
@@ -587,10 +572,7 @@ class WorkerPool:
         #    (not dead) workers, and even a crashed one needs reaping
         for index in indices:
             self._terminate_worker(index)
-        self.stats.worker_deaths += len(indices)
-        if telemetry.TELEMETRY.enabled:
-            telemetry.inc("repro_pool_worker_deaths_total", len(indices),
-                          reason=reason)
+        self.stats.bump("worker_deaths", len(indices), reason=reason)
         # 2) absorb replies that landed before the death — a key answered
         #    just before the crash must not be re-driven
         while True:
@@ -617,9 +599,7 @@ class WorkerPool:
                                worker=index)
             self._task_queues[index] = self._context.Queue()
             self._processes[index] = self._spawn_worker(index, None)
-            self.stats.respawns += 1
-            if telemetry.TELEMETRY.enabled:
-                telemetry.inc("repro_pool_respawns_total")
+            self.stats.bump("respawns")
         # 4) re-drive every command the dead workers still owed
         redriven = 0
         for key in sorted(outstanding):
@@ -655,10 +635,8 @@ class WorkerPool:
                         f"{key!r} by a dead worker ({reason})")
             if resend:
                 retried.add(key)
-                self.stats.retries += 1
+                self.stats.bump("retries", shard=key)
                 redriven += 1
-                if telemetry.TELEMETRY.enabled:
-                    telemetry.inc("repro_pool_retries_total", shard=key)
                 outstanding[key] = deque(resend)
                 worker_queue = self._task_queues[self._worker_for(key)]
                 for message, _record in resend:
@@ -703,9 +681,7 @@ class WorkerPool:
                 if key not in retried and (command == "bind"
                                            or rebinder is not None):
                     retried.add(key)
-                    self.stats.retries += 1
-                    if telemetry.TELEMETRY.enabled:
-                        telemetry.inc("repro_pool_retries_total", shard=key)
+                    self.stats.bump("retries", shard=key)
                     pending.appendleft((message, record))
                     if command == "repair":
                         pending.appendleft(
@@ -727,9 +703,7 @@ class WorkerPool:
                     if state is not None:
                         state.close()
                     retried.add(key)
-                    self.stats.retries += 1
-                    if telemetry.TELEMETRY.enabled:
-                        telemetry.inc("repro_pool_retries_total", shard=key)
+                    self.stats.bump("retries", shard=key)
                     log_event(_log, "warning",
                               "shard-repair-errored-retrying", shard=key,
                               error=f"{type(exc).__name__}: {exc}")
@@ -743,9 +717,7 @@ class WorkerPool:
             if record:
                 replies[key] = result
             elif command == "bind":
-                self.stats.binds += 1
-                if telemetry.TELEMETRY.enabled:
-                    telemetry.inc("repro_pool_binds_total", shard=key)
+                self.stats.bump("binds", shard=key)
         return replies
 
     def _simulate_inline_death(self, fault, barrier_keys: set) -> None:
@@ -755,13 +727,10 @@ class WorkerPool:
         self._inline_states.clear()
         self._lost.update(lost)
         reason = "timeout" if fault.kind in ("hang", "wedge") else "simulated"
-        self.stats.worker_deaths += 1
-        self.stats.respawns += 1
+        self.stats.bump("worker_deaths", reason=reason)
+        self.stats.bump("respawns")
         if fault.kind in ("hang", "wedge"):
             self.stats.command_timeouts += 1
-        if telemetry.TELEMETRY.enabled:
-            telemetry.inc("repro_pool_worker_deaths_total", reason=reason)
-            telemetry.inc("repro_pool_respawns_total")
         log_event(_log, "warning", "pool-workers-respawned",
                   workers=["inline"], reason=reason,
                   lost_replicas=len(lost), generation=self.generation)
@@ -782,10 +751,8 @@ class WorkerPool:
             return
         with self._lock:
             self._dispatch([("bind",) + tuple(bind) for bind in binds])
-            self.stats.binds += len(binds)
-            if telemetry.TELEMETRY.enabled:
-                for bind in binds:
-                    telemetry.inc("repro_pool_binds_total", shard=bind[0])
+            for bind in binds:
+                self.stats.bump("binds", shard=bind[0])
 
     def ship(self, key: str, delta: GraphDelta) -> bool:
         """Ship one projected committed delta to ``key``'s replica.
@@ -805,10 +772,8 @@ class WorkerPool:
         with self._lock:
             replies = self._dispatch([("ship", key, delta)
                                       for key, delta in ships])
-            self.stats.deltas_shipped += len(ships)
-            if telemetry.TELEMETRY.enabled:
-                for key, _delta in ships:
-                    telemetry.inc("repro_pool_ships_total", shard=key)
+            for key, _delta in ships:
+                self.stats.bump("deltas_shipped", shard=key)
         return {key: replies[key][0] == "ok" for key, _delta in ships}
 
     def repair(self, keys: list[str], context: dict | None = None,
@@ -831,10 +796,8 @@ class WorkerPool:
                 commands = [("repair", key, context) for key in keys]
             replies = self._dispatch(commands, rebinder)
             self.stats.repair_calls += 1
-            self.stats.shard_repairs += len(keys)
-            if telemetry.TELEMETRY.enabled:
-                for key in keys:
-                    telemetry.inc("repro_pool_shard_repairs_total", shard=key)
+            for key in keys:
+                self.stats.bump("shard_repairs", shard=key)
         results = []
         for key in keys:
             status, payload = replies[key]

@@ -28,15 +28,10 @@ from dataclasses import dataclass, field
 
 from repro.graph.delta import GraphDelta, apply_inverse, recording, replay_delta
 from repro.graph.io import graph_from_dict
+from repro.matching.vf2 import MatchingStats
 from repro.repair.config import RepairConfig
 from repro.repair.fast import AppliedRepair, FastRepairCore, make_ownership_filter
 from repro.rules.grr import RuleSet
-
-#: the :class:`~repro.matching.vf2.MatchingStats` counters a
-#: :class:`ShardResult` carries
-_STATS_COUNTERS = ("nodes_tried", "value_bucket_candidates",
-                   "range_bucket_candidates", "planner_plans",
-                   "planner_replans")
 
 
 @dataclass
@@ -51,18 +46,10 @@ class ShardResult:
 
     shard_index: int
     repairs: list[AppliedRepair] = field(default_factory=list)
-    violations_detected: int = 0
     repairs_applied: int = 0
-    repairs_failed: int = 0
-    nodes_tried: int = 0
-    # candidates the shard's value buckets scanned in place of label buckets
-    # (the predicate-pushdown layer, rebuilt worker-side with the index)
-    value_bucket_candidates: int = 0
-    # candidates the shard's range/membership probes offered
-    range_bucket_candidates: int = 0
-    # cost-planner activity inside the shard (plans built / drift replans)
-    planner_plans: int = 0
-    planner_replans: int = 0
+    #: the shard matcher's counters grown during this repair pass
+    #: (:meth:`MatchingStats.since`; the planner dicts stay empty)
+    stats: MatchingStats = field(default_factory=MatchingStats)
     elapsed_seconds: float = 0.0
     #: worker-side :class:`~repro.telemetry.RegistrySnapshot` (None when
     #: telemetry was not collecting) — the coordinator absorbs it, so shard
@@ -119,7 +106,8 @@ class ShardWorkerState:
         coordinator's settle drain decides what remains."""
         started = time.perf_counter()
         core = self.core_state
-        before = self._counters()
+        applied_before = core.report.repairs_applied
+        stats_before = core.stats  # a fresh record: a snapshot, not a view
         collected: list[AppliedRepair] = []
         with recording(self.graph) as recorder:
             core.drain(accept=make_ownership_filter(self.graph, self.owned),
@@ -131,20 +119,11 @@ class ShardWorkerState:
             # requeuing the violations whose repairs were just undone
             inverse = apply_inverse(self.graph, mutations)
             core.maintain(inverse, source="commit")
-        counts = {name: value - before[name]
-                  for name, value in self._counters().items()}
-        return ShardResult(shard_index=-1, repairs=collected,
-                           elapsed_seconds=time.perf_counter() - started,
-                           **counts)
-
-    def _counters(self) -> dict[str, int]:
-        """The core's running totals of the :class:`ShardResult` counters."""
-        report = self.core_state.report
-        stats = self.core_state.stats
-        return {"violations_detected": report.violations_detected,
-                "repairs_applied": report.repairs_applied,
-                "repairs_failed": report.repairs_failed,
-                **{name: getattr(stats, name) for name in _STATS_COUNTERS}}
+        return ShardResult(
+            shard_index=-1, repairs=collected,
+            repairs_applied=core.report.repairs_applied - applied_before,
+            stats=core.stats.since(stats_before),
+            elapsed_seconds=time.perf_counter() - started)
 
     def close(self) -> None:
         self.core_state.close()

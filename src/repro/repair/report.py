@@ -17,6 +17,12 @@ from repro.repair.provenance import RepairLog
 from repro.utils.timing import TimingBreakdown
 
 
+#: matcher counters the flat report leaves out: the report's own
+#: ``matches_enumerated`` and ``elapsed_seconds`` stand in for them, and the
+#: stats' ``elapsed_seconds`` key would overwrite the report's
+_NOT_REPORTED = frozenset({"matches_found", "elapsed_seconds"})
+
+
 @dataclass
 class RepairReport:
     """Summary of one repair run over one graph with one rule set."""
@@ -104,21 +110,8 @@ class RepairReport:
             "reached_fixpoint": self.reached_fixpoint,
             "matches_enumerated": self.matches_enumerated,
             "seeded_searches": self.seeded_searches,
-            "nodes_tried": self.matching_stats.nodes_tried,
-            "backtracks": self.matching_stats.backtracks,
-            "maintenance_passes": self.matching_stats.maintenance_passes,
-            "label_bucket_candidates": self.matching_stats.label_bucket_candidates,
-            "value_bucket_candidates": self.matching_stats.value_bucket_candidates,
-            "range_bucket_candidates": self.matching_stats.range_bucket_candidates,
-            "predicate_survivors": self.matching_stats.predicate_survivors,
-            "planner_plans": self.matching_stats.planner_plans,
-            "planner_replans": self.matching_stats.planner_replans,
-            "planner_orders": {name: list(order) for name, order
-                               in self.matching_stats.planner_orders.items()},
-            "planner_estimated": {name: dict(per_variable) for name, per_variable
-                                  in self.matching_stats.planner_estimated.items()},
-            "planner_actual": {name: dict(per_variable) for name, per_variable
-                               in self.matching_stats.planner_actual.items()},
+            **{name: value for name, value in self.matching_stats.as_dict().items()
+               if name not in _NOT_REPORTED},
             "elapsed_seconds": self.elapsed_seconds,
             "total_changes": self.total_changes(),
             "initial_nodes": self.initial_nodes,

@@ -121,16 +121,14 @@ class _TenantActivity:
 class GraphRepairService:
     """Concurrent multi-session repair over many named, partitioned graphs.
 
-    ``pool_workers`` fixes the shared warm pool's process count; the default
-    ``0`` sizes it to the first sharded tenant's ``workers``.
-    ``inline_pool=True`` runs the pool's state machine in-process (no
-    spawned workers — tests, single-CPU hosts).
+    The shared warm pool takes its process count from the first sharded
+    tenant's ``workers``.  ``inline_pool=True`` runs the pool's state
+    machine in-process (no spawned workers — tests, single-CPU hosts).
     """
 
-    def __init__(self, pool_workers: int = 0, inline_pool: bool = False) -> None:
+    def __init__(self, inline_pool: bool = False) -> None:
         self.sessions = SessionManager()
         self._pool = None
-        self._pool_workers = pool_workers
         self._inline_pool = inline_pool
         self._lock = threading.Lock()
         self._closed = False
@@ -259,8 +257,7 @@ class GraphRepairService:
 
         with self._lock:
             if self._pool is None:
-                self._pool = WorkerPool(self._pool_workers or workers,
-                                        inline=self._inline_pool)
+                self._pool = WorkerPool(workers, inline=self._inline_pool)
             return self._pool
 
     def session(self, name: str) -> RepairSession:
@@ -441,14 +438,10 @@ class GraphRepairService:
     @property
     def pool_stats(self) -> dict[str, int]:
         """The shared pool's overhead counters (zeros before it exists)."""
-        if self._pool is None:
-            return {"spawns": 0, "binds": 0, "deltas_shipped": 0,
-                    "shard_repairs": 0, "repair_calls": 0,
-                    "leases": 0, "lease_wait_seconds": 0.0,
-                    "worker_deaths": 0, "respawns": 0,
-                    "command_timeouts": 0, "retries": 0,
-                    "fallback_repairs": 0}
-        return self._pool.stats.as_dict()
+        from repro.parallel.pool import PoolStats
+
+        return (self._pool.stats if self._pool is not None
+                else PoolStats()).as_dict()
 
     # ------------------------------------------------------------------
     # telemetry exposition

@@ -281,19 +281,35 @@ def _family(name: str, kind: str, labels: dict):
     return TELEMETRY.registry.histogram(name, help, labelnames)
 
 
+def _child(name: str, kind: str, labels: dict):
+    """The live registry's child for one metric and label set.
+
+    The first use of a (kind, name, labels) combination checks the
+    catalogue declaration and the label names; the resolved child is then
+    cached on the registry, so a repeated call costs one dict lookup.
+    """
+    registry = TELEMETRY.registry
+    key = (kind, name, *labels.items())
+    child = registry.resolved.get(key)
+    if child is None:
+        child = _family(name, kind, labels).labels(**labels)
+        registry.resolved[key] = child
+    return child
+
+
 def inc(name: str, amount: float = 1.0, **labels: object) -> None:
     """Increment a catalogue counter (call only under the enabled guard)."""
-    _family(name, "counter", labels).labels(**labels).inc(amount)
+    _child(name, "counter", labels).inc(amount)
 
 
 def observe(name: str, value: float, **labels: object) -> None:
     """Observe into a catalogue histogram (call under the enabled guard)."""
-    _family(name, "histogram", labels).labels(**labels).observe(value)
+    _child(name, "histogram", labels).observe(value)
 
 
 def gauge_set(name: str, value: float, **labels: object) -> None:
     """Set a catalogue gauge (call only under the enabled guard)."""
-    _family(name, "gauge", labels).labels(**labels).set(value)
+    _child(name, "gauge", labels).set(value)
 
 
 def span(name: str, **attributes: object):

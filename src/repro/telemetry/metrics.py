@@ -134,6 +134,7 @@ class MetricFamily:
         self.name = name
         self.help = help
         self.labelnames = labelnames
+        self._sorted_labelnames = tuple(sorted(labelnames))
         self.buckets = buckets
         self._children: dict[tuple[str, ...], object] = {}
 
@@ -143,7 +144,7 @@ class MetricFamily:
         Every declared label must be supplied; values are stringified, so
         shard indexes and booleans are fine.
         """
-        if tuple(sorted(labels)) != tuple(sorted(self.labelnames)):
+        if tuple(sorted(labels)) != self._sorted_labelnames:
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labels))}")
@@ -267,6 +268,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._families: dict[str, MetricFamily] = {}
+        #: children already resolved by ``repro.telemetry``'s ``inc`` /
+        #: ``observe`` / ``gauge_set``, keyed by (kind, name, label items);
+        #: families and children are never replaced, so entries stay valid
+        self.resolved: dict[tuple, object] = {}
 
     def _family(self, kind: str, name: str, help: str,
                 labelnames: tuple[str, ...],

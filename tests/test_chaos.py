@@ -249,7 +249,7 @@ class TestInlineChaos:
                 assert pool.stats.worker_deaths == 1
                 assert pool.stats.respawns == 1
                 assert pool.stats.retries >= 1
-                assert fanout.pool_respawns == 1
+                assert fanout.pool.respawns == 1
         reference = _sequential_reference(small_kg_workload, "inline-crash-ref")
         assert graph.structurally_equal(reference)
 

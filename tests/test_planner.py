@@ -106,7 +106,7 @@ class TestPlannerRepairEquivalence:
                                  use_cost_planner=False))
         assert on_fanout.ran
         assert on_graph.structurally_equal(off_graph)
-        assert on_fanout.shard_planner_plans > 0
+        assert on_fanout.shard_stats.planner_plans > 0
 
     def test_standing_replicas_planner_on_off_agree(self):
         """Across calls too: shipped deltas keep the standing replicas'
@@ -119,7 +119,7 @@ class TestPlannerRepairEquivalence:
                 session.repair()
                 session.apply(_corrupt)
                 session.repair()
-                assert session.backend.last_fanout.pool_ships > 0
+                assert session.backend.last_fanout.pool.deltas_shipped > 0
             return graph
 
         config = RepairConfig.sharded(workers=2, parallel_inline=True,

@@ -456,6 +456,26 @@ class TestEnablementContract:
             with pytest.raises(ValueError, match="declared as"):
                 telemetry.inc("repro_repair_seconds")
 
+    def test_facade_checks_every_new_label_set(self):
+        """A cached child serves only the exact labels it was resolved
+        for: other label names, a misused kind, or a fresh registry are
+        checked again."""
+        with telemetry.collecting() as (registry, _tracer):
+            for _ in range(2):
+                telemetry.observe("repro_phase_seconds", 0.01, phase="a")
+            assert registry.get("repro_phase_seconds").labels(
+                phase="a").count == 2
+            with pytest.raises(ValueError, match="takes labels"):
+                telemetry.observe("repro_phase_seconds", 0.01, tenant="a")
+            with pytest.raises(ValueError, match="declared as"):
+                telemetry.inc("repro_phase_seconds", phase="a")
+        with telemetry.collecting() as (fresh, _tracer):
+            telemetry.observe("repro_phase_seconds", 0.01, phase="a")
+            assert fresh.get("repro_phase_seconds").labels(
+                phase="a").count == 1
+        assert registry.get("repro_phase_seconds").labels(
+            phase="a").count == 2
+
     def test_catalogue_naming_conventions(self):
         for name, (kind, help_text, labelnames) in CATALOGUE.items():
             assert name.startswith("repro_")

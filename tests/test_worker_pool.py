@@ -217,7 +217,7 @@ class TestWarmDegradation:
             # the later calls (after warm-up) spawned nothing
             assert stats.spawns == 2
             assert stats.repair_calls >= 2
-            assert session.backend.last_fanout.pool_spawns == 0
+            assert session.backend.last_fanout.pool.spawns == 0
         finally:
             session.close()
         assert _no_pool_children()
