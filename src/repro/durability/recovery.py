@@ -17,8 +17,10 @@ names, replication streams) speaks global sequences only.
 Every ``snapshot_every`` records the sink snapshots the tenant graph (the
 session lock is already held inside the commit hook, so the snapshot is a
 consistent cut at an exact global sequence), prunes old snapshots, and
-truncates fully-covered WAL segments — recovery cost stays bounded by one
-snapshot plus at most ``snapshot_every`` records of replay.
+truncates the WAL segments that the oldest kept snapshot fully covers —
+recovery cost stays bounded by one snapshot plus at most ``snapshot_every``
+records of replay, or ``keep_snapshots × snapshot_every`` when the newest
+snapshot is corrupt and recovery falls back to an older one.
 
 :func:`recover` inverts the pipeline: newest intact snapshot, then exact
 (id-preserving) replay of the WAL suffix, yielding a graph element-for-
@@ -349,7 +351,11 @@ class TenantDurability:
             telemetry.gauge_set("repro_snapshot_sequence", global_seq,
                                 tenant=self.name)
         prune_snapshots(self.directory, keep=self.config.keep_snapshots)
-        self.segments_truncated += self.wal.truncate_through(global_seq)
+        # the floor is the oldest kept snapshot, not this one: when this one
+        # turns out corrupt, recovery falls back to the older snapshot and
+        # must find every record after it
+        floor = snapshot_sequence(list_snapshots(self.directory)[0])
+        self.segments_truncated += self.wal.truncate_through(floor)
 
     def stats(self) -> dict[str, Any]:
         return {"base_sequence": self.base_sequence,

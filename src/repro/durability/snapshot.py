@@ -8,11 +8,13 @@ suffix behind it, so restore cost is bounded by one snapshot plus
 File format (``snapshot-<sequence>.snap``), two UTF-8 lines::
 
     {"v": 1, "sequence": 4031, "crc": 2859410117}
-    {"v": 1, "name": "kg", "id_state": {...}, "nodes": [...], "edges": [...]}
+    {"v": 2, "name": "kg", "id_state": {...}, "labels": [...], "shapes": [...],
+     "nodes": {"id": [...], ...}, "edges": {"id": [...], ...}, "values": [...]}
 
 Line 1 is a small header carrying the log sequence and the CRC-32 of the
-body line; line 2 is the :func:`repro.durability.codec.encode_graph`
-document.  A snapshot is written to a ``.tmp`` sibling, fsync'd, and
+body line; line 2 is the columnar :func:`repro.durability.codec.encode_graph`
+document (one line; wrapped here).  Bodies of format version 1, one object
+per element, still load.  A snapshot is written to a ``.tmp`` sibling, fsync'd, and
 **renamed into place** — readers can never observe a half-written snapshot
 under the real name — then the directory entry is fsync'd.  The CRC guards
 against the subtler failure of a snapshot that renamed fine but whose pages

@@ -94,13 +94,16 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def read_segment(path: Path, *, is_tail: bool = False,
+def read_segment(path: Path, *, is_tail: bool = False, last_only: bool = False,
                  ) -> tuple[list[dict[str, Any]], int]:
     """Read every intact record of one segment.
 
     Returns ``(record documents, intact byte length)``.  With
     ``is_tail=True`` a torn or corrupt frame ends the scan quietly (the
-    caller truncates to the returned length); otherwise it raises.
+    caller truncates to the returned length); otherwise it raises.  With
+    ``last_only=True`` frames are checked by their checksums alone and only
+    the last intact one is decoded, so the list holds at most that record:
+    all that opening the log needs.
     """
     data = path.read_bytes()
     if not data.startswith(MAGIC):
@@ -109,6 +112,7 @@ def read_segment(path: Path, *, is_tail: bool = False,
             return [], 0
         raise DurabilityError(f"{path.name}: bad WAL segment magic")
     records: list[dict[str, Any]] = []
+    last = None
     offset = len(MAGIC)
     while offset < len(data):
         frame_end = offset + _FRAME.size
@@ -121,15 +125,25 @@ def read_segment(path: Path, *, is_tail: bool = False,
         payload = data[frame_end:payload_end]
         if zlib.crc32(payload) != crc:
             break  # corrupt (or torn-then-reused) frame
-        try:
-            records.append(codec.loads(payload))
-        except DurabilityError:
-            break
+        if last_only:
+            last = payload
+        else:
+            try:
+                records.append(codec.loads(payload))
+            except DurabilityError:
+                break
         offset = payload_end
     if offset < len(data) and not is_tail:
         raise DurabilityError(
             f"{path.name}: corrupt record at byte {offset} in a sealed "
             "segment — the log is damaged beyond torn-tail repair")
+    if last is not None:
+        try:
+            records.append(codec.loads(last))
+        except DurabilityError:
+            # a checksummed but undecodable frame (a zero-filled tail passes
+            # the checksum): the decoding scan finds where the records end
+            return read_segment(path, is_tail=is_tail)
     return records, offset
 
 
@@ -166,11 +180,11 @@ class WriteAheadLog:
         if not segments:
             return
         for path in segments[:-1]:
-            records, _ = read_segment(path, is_tail=False)
+            records, _ = read_segment(path, is_tail=False, last_only=True)
             if records:
                 self._last_sequence = int(records[-1]["seq"])
         tail = segments[-1]
-        records, intact = read_segment(tail, is_tail=True)
+        records, intact = read_segment(tail, is_tail=True, last_only=True)
         size = tail.stat().st_size
         if intact < size:
             if intact < len(MAGIC):

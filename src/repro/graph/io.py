@@ -98,21 +98,32 @@ def graph_from_dict(document: dict[str, Any],
     if document.get("format") != GRAPH_FORMAT:
         raise SerializationError(
             f"unexpected document format {document.get('format')!r}")
-    graph = PropertyGraph(name=document.get("name", "graph"),
-                          id_namespace=id_namespace)
-    for node_doc in document.get("nodes", []):
+    return PropertyGraph._from_elements(
+        _node_rows(document.get("nodes", [])),
+        _edge_rows(document.get("edges", [])),
+        name=document.get("name", "graph"), id_namespace=id_namespace)
+
+
+def _node_rows(node_docs):
+    """``(id, label, properties)`` rows of node documents."""
+    for node_doc in node_docs:
         try:
-            graph.add_node(node_doc["label"], node_doc.get("properties", {}),
-                           node_id=node_doc["id"])
+            row = (node_doc["id"], node_doc["label"],
+                   dict(node_doc.get("properties") or {}))
         except KeyError as exc:
             raise SerializationError(f"node document missing key {exc}") from exc
-    for edge_doc in document.get("edges", []):
+        yield row
+
+
+def _edge_rows(edge_docs):
+    """``(id, source, target, label, properties)`` rows of edge documents."""
+    for edge_doc in edge_docs:
         try:
-            graph.add_edge(edge_doc["source"], edge_doc["target"], edge_doc["label"],
-                           edge_doc.get("properties", {}), edge_id=edge_doc["id"])
+            row = (edge_doc["id"], edge_doc["source"], edge_doc["target"],
+                   edge_doc["label"], dict(edge_doc.get("properties") or {}))
         except KeyError as exc:
             raise SerializationError(f"edge document missing key {exc}") from exc
-    return graph
+        yield row
 
 
 def dump_json(graph: PropertyGraph, path: str | Path, indent: int | None = 2) -> None:

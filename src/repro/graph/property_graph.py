@@ -49,6 +49,14 @@ def _edge_spec(edge: Edge) -> dict[str, Any]:
             "label": edge.label, "properties": dict(edge.properties)}
 
 
+def _element_rows(nodes: Iterable[Node], edges: Iterable[Edge]):
+    """The :meth:`PropertyGraph._from_elements` rows of existing elements,
+    each with its own copy of the properties."""
+    return (((node.id, node.label, dict(node.properties)) for node in nodes),
+            ((edge.id, edge.source, edge.target, edge.label, dict(edge.properties))
+             for edge in edges))
+
+
 class PropertyGraph:
     """A directed, labelled property multigraph."""
 
@@ -346,10 +354,7 @@ class PropertyGraph:
         node_id = _intern(node_id)
         label = _intern(label)
         node = Node(id=node_id, label=label, properties=dict(properties or {}))
-        self._nodes[node_id] = node
-        self._out_edges[node_id] = {}
-        self._in_edges[node_id] = {}
-        self._nodes_by_label.setdefault(label, set()).add(node_id)
+        self._attach_node(node)
         if self._listeners:
             self._emit(GraphChange(kind=ChangeKind.ADD_NODE, node_id=node_id,
                                    touched_nodes=(node_id,),
@@ -591,15 +596,54 @@ class PropertyGraph:
     # bulk / copy / conversion
     # ------------------------------------------------------------------
 
+    @classmethod
+    def _from_elements(cls, nodes: Iterable[tuple[NodeId, Label, Properties]],
+                       edges: Iterable[tuple[EdgeId, NodeId, NodeId, Label, Properties]],
+                       *, name: str = "graph",
+                       id_namespace: str | None = None) -> "PropertyGraph":
+        """Build a whole graph in one pass: the bulk form of :meth:`add_node`
+        and :meth:`add_edge`.
+
+        ``nodes`` yields ``(id, label, properties)`` rows and ``edges``
+        ``(id, source, target, label, properties)`` rows; the graph takes
+        ownership of each properties dict.  Ids and labels are interned,
+        endpoints and duplicate ids are validated with the per-element
+        errors, every store, adjacency dict, label bucket and label index
+        is filled in row order, and both id generators observe every id —
+        so the result, its iteration order and its next fresh ids all equal
+        those of the per-element build.  No change records are emitted.
+        """
+        graph = cls(name=name, id_namespace=id_namespace)
+        node_store, edge_store = graph._nodes, graph._edges
+        attach_node, attach_edge = graph._attach_node, graph._attach_edge_to_indexes
+        for node_id, label, properties in nodes:
+            node_id = _intern(str(node_id))
+            if node_id in node_store:
+                raise DuplicateElementError(f"node id {node_id!r} already exists")
+            attach_node(Node(node_id, _intern(label), properties))
+        for edge_id, source, target, label, properties in edges:
+            source_node = node_store.get(source)
+            if source_node is None:
+                raise NodeNotFoundError(source)
+            target_node = node_store.get(target)
+            if target_node is None:
+                raise NodeNotFoundError(target)
+            edge_id = _intern(str(edge_id))
+            if edge_id in edge_store:
+                raise DuplicateElementError(f"edge id {edge_id!r} already exists")
+            edge = Edge(edge_id, source_node.id, target_node.id, _intern(label),
+                        properties)
+            edge_store[edge_id] = edge
+            attach_edge(edge)
+        graph._node_ids.observe_all(node_store)
+        graph._edge_ids.observe_all(edge_store)
+        return graph
+
     def copy(self, name: str | None = None) -> "PropertyGraph":
         """Deep copy (listeners are not copied)."""
-        clone = PropertyGraph(name=name or self.name)
-        for node in self._nodes.values():
-            clone.add_node(node.label, dict(node.properties), node_id=node.id)
-        for edge in self._edges.values():
-            clone.add_edge(edge.source, edge.target, edge.label,
-                           dict(edge.properties), edge_id=edge.id)
-        return clone
+        return PropertyGraph._from_elements(
+            *_element_rows(self._nodes.values(), self._edges.values()),
+            name=name or self.name)
 
     def subgraph(self, node_ids: Iterable[NodeId], name: str | None = None,
                  id_namespace: str | None = None) -> "PropertyGraph":
@@ -613,22 +657,16 @@ class PropertyGraph:
         prefix for ids it creates later (shard-local repairs).
         """
         keep = set(node_ids)
-        sub = PropertyGraph(name=name or f"{self.name}-sub",
-                            id_namespace=id_namespace)
         missing = keep.difference(self._nodes)
         if missing:
             raise NodeNotFoundError(sorted(missing)[0])
-        for node_id, node in self._nodes.items():
-            if node_id in keep:
-                sub.add_node(node.label, dict(node.properties), node_id=node_id)
+        kept = [node for node_id, node in self._nodes.items() if node_id in keep]
         edges = self._edges
-        for node_id in sub._nodes:
-            for edge_id in self._out_edges.get(node_id, ()):
-                edge = edges[edge_id]
-                if edge.target in keep:
-                    sub.add_edge(edge.source, edge.target, edge.label,
-                                 dict(edge.properties), edge_id=edge.id)
-        return sub
+        kept_edges = (edge for node in kept for edge_id in self._out_edges[node.id]
+                      if (edge := edges[edge_id]).target in keep)
+        return PropertyGraph._from_elements(
+            *_element_rows(kept, kept_edges),
+            name=name or f"{self.name}-sub", id_namespace=id_namespace)
 
     def neighborhood(self, node_ids: Iterable[NodeId], hops: int = 1) -> set[NodeId]:
         """Node ids within ``hops`` undirected hops of any seed node (seeds included).
@@ -719,6 +757,14 @@ class PropertyGraph:
     def _require_node(self, node_id: NodeId) -> None:
         if node_id not in self._nodes:
             raise NodeNotFoundError(node_id)
+
+    def _attach_node(self, node: Node) -> None:
+        """Store a new node and give it empty adjacency and its label index
+        entry."""
+        self._nodes[node.id] = node
+        self._out_edges[node.id] = {}
+        self._in_edges[node.id] = {}
+        self._nodes_by_label.setdefault(node.label, set()).add(node.id)
 
     def _attach_edge_to_indexes(self, edge: Edge) -> None:
         """Register an already-stored edge in every adjacency/label index."""

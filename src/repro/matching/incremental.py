@@ -3,7 +3,7 @@
 The key optimisation of the fast repair algorithm: after a repair mutates the
 graph, we do not re-enumerate all matches of all rule patterns.  Instead:
 
-1. **Invalidation** — :meth:`Pattern.check_match` reads only a match's bound
+1. **Invalidation** — :meth:`Match.is_valid` reads only a match's bound
    nodes and the edges between pairs of bound nodes, so a change can alter
    only the stored matches inside its *region* (:class:`DeltaRegion`):
 
@@ -97,7 +97,7 @@ _EDGE_KINDS = frozenset(kind for kind, (region, _) in _REACH.items()
 
 @dataclass
 class DeltaRegion:
-    """Where a delta can change what :meth:`Pattern.check_match` reads.
+    """Where a delta can change what :meth:`Match.is_valid` reads.
 
     A stored match is inside the region when it binds a node in ``nodes``
     or both endpoints of a pair in ``pairs``; no other stored match can have

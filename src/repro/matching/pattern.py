@@ -17,6 +17,7 @@ variables to edge ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.exceptions import InvalidPatternError
@@ -235,48 +236,55 @@ class Pattern:
     # ------------------------------------------------------------------
 
     def check_match(self, graph: PropertyGraph, assignment: Mapping[str, str]) -> bool:
-        """True iff ``assignment`` (variable -> node id) is a complete, valid match.
+        """True iff ``assignment`` (variable -> node id) extends to a complete,
+        valid match.
 
         This is the semantic reference implementation: injectivity, label and
-        predicate checks, existence of a witnessing edge per pattern edge, and
-        all comparisons.  The matchers are tested against it.
+        predicate checks, a witnessing edge per pattern edge, and a choice of
+        distinct witnesses for the edge variables under which all comparisons
+        hold.
+        The matchers are tested against it.
         """
-        node_ids = [assignment.get(variable) for variable in self.variables]
-        if any(node_id is None for node_id in node_ids):
+        if not self._nodes_hold(graph, assignment):
             return False
-        if len(set(node_ids)) != len(node_ids):
+        witnesses = [self._witnesses(graph, assignment, edge) for edge in self.edges]
+        if not all(witnesses):
             return False
-        for variable in self.variables:
-            node_id = assignment[variable]
-            if not graph.has_node(node_id):
-                return False
-            if not self.node_variable(variable).matches(graph.node(node_id)):
-                return False
+        variables = [edge.variable for edge in self.edges if edge.variable is not None]
+        choices = [found for edge, found in zip(self.edges, witnesses)
+                   if edge.variable is not None]
+        # distinct edge variables bind distinct data edges, as in the matchers
+        return any(
+            len({edge.id for edge in choice}) == len(choice)
+            and (not self.comparisons
+                 or Match(pattern=self, node_bindings=dict(assignment),
+                          edge_bindings={variable: edge.id
+                                         for variable, edge in zip(variables, choice)},
+                          ).satisfies_comparisons(graph))
+            for choice in product(*choices))
 
-        edge_bindings: dict[str, str] = {}
-        for edge in self.edges:
-            witnesses = [
-                candidate for candidate in graph.edges_between(
-                    assignment[edge.source], assignment[edge.target], edge.label)
-                if edge.matches(candidate)
-            ]
-            if not witnesses:
+    def _nodes_hold(self, graph: PropertyGraph, assignment: Mapping[str, str]) -> bool:
+        """Every variable bound, injectively, to a node its label and
+        predicates accept."""
+        store = graph.node_store
+        bound: set[str] = set()
+        for node in self.nodes:
+            node_id = assignment.get(node.variable)
+            if node_id is None or node_id in bound:
                 return False
-            if edge.variable is not None:
-                edge_bindings[edge.variable] = witnesses[0].id
-
-        if self.comparisons:
-            def lookup(variable: str) -> Mapping[str, Any]:
-                if variable in edge_bindings:
-                    return graph.edge(edge_bindings[variable]).properties
-                if variable in assignment and graph.has_node(assignment[variable]):
-                    return graph.node(assignment[variable]).properties
-                return {}
-
-            match = Match(pattern=self, node_bindings=dict(assignment),
-                          edge_bindings=edge_bindings)
-            return match.satisfies_comparisons(graph)
+            data = store.get(node_id)
+            if data is None or not node.matches(data):
+                return False
+            bound.add(node_id)
         return True
+
+    @staticmethod
+    def _witnesses(graph: PropertyGraph, assignment: Mapping[str, str],
+                   edge: PatternEdge) -> list:
+        """The data edges that witness ``edge`` between its bound endpoints."""
+        return [candidate for candidate in graph.edges_between(
+                    assignment[edge.source], assignment[edge.target], edge.label)
+                if edge.matches(candidate)]
 
 
 @dataclass
@@ -322,11 +330,30 @@ class Match:
         return False
 
     def is_valid(self, graph: PropertyGraph) -> bool:
-        """Re-verify the match against the (possibly mutated) graph."""
-        for edge_variable, edge_id in self.edge_bindings.items():
-            if not graph.has_edge(edge_id):
+        """Re-verify the match against the (possibly mutated) graph.
+
+        The bound edges are the match: each must still exist, join its bound
+        endpoints and satisfy its pattern edge, and the comparisons are
+        evaluated over them.  A pattern edge without a bound variable only
+        needs some witness.
+        """
+        pattern, nodes, bindings = self.pattern, self.node_bindings, self.edge_bindings
+        edges = graph.edge_store
+        free = []
+        for pattern_edge in pattern.edges:
+            edge_id = bindings.get(pattern_edge.variable)
+            if edge_id is None:
+                free.append(pattern_edge)
+                continue
+            edge = edges.get(edge_id)
+            if (edge is None or edge.source != nodes.get(pattern_edge.source)
+                    or edge.target != nodes.get(pattern_edge.target)
+                    or not pattern_edge.matches(edge)):
                 return False
-        return self.pattern.check_match(graph, self.node_bindings)
+        return (pattern._nodes_hold(graph, nodes)
+                and all(pattern._witnesses(graph, nodes, pattern_edge)
+                        for pattern_edge in free)
+                and self.satisfies_comparisons(graph))
 
     def satisfies_comparisons(self, graph: PropertyGraph) -> bool:
         """Evaluate the pattern's cross-variable comparisons under this binding."""

@@ -29,8 +29,7 @@ class IdGenerator:
         self._seen.add(str(existing_id))
 
     def observe_all(self, existing_ids) -> None:
-        for existing_id in existing_ids:
-            self.observe(existing_id)
+        self._seen.update(map(str, existing_ids))
 
     def next(self) -> str:
         """Return a fresh id that has not been observed or generated before."""

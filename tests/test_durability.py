@@ -192,6 +192,23 @@ class TestWriteAheadLog:
         records, _ = read_segment(tail, is_tail=True)
         assert [r["seq"] for r in records] == [1, 2, 3, 4]
 
+    def test_zero_filled_tail_is_truncated_on_open(self, tmp_path):
+        """A crash can leave the tail extended with zero bytes; a zero frame
+        (length 0, checksum 0) passes the checksum but holds no record."""
+        with WriteAheadLog(tmp_path, fsync=False) as wal:
+            for sequence in range(1, 4):
+                wal.append(_record(sequence))
+        (tail,) = list_segments(tmp_path)
+        intact = tail.stat().st_size
+        with tail.open("ab") as handle:
+            handle.write(bytes(64))
+        with WriteAheadLog(tmp_path, fsync=False) as wal:
+            assert wal.last_sequence == 3
+            assert tail.stat().st_size == intact
+            wal.append(_record(4))
+        records, _ = read_segment(tail, is_tail=True)
+        assert [r["seq"] for r in records] == [1, 2, 3, 4]
+
     def test_torn_before_magic_drops_the_segment(self, tmp_path):
         with WriteAheadLog(tmp_path, segment_bytes=64, fsync=False) as wal:
             wal.append(_record(1))
@@ -315,6 +332,28 @@ class TestTenantDurability:
         assert sink.stats()["global_sequence"] == 10
         sink.close()
         assert recover("kg", config).records_replayed == 1  # only seq 10
+
+    @pytest.mark.parametrize("segment_bytes", [1, 64, 800])
+    def test_corrupt_newest_snapshot_falls_back_to_the_older_one(
+            self, tmp_path, segment_bytes):
+        # the WAL keeps every record after the *oldest* kept snapshot, so
+        # the fallback replays from there without a gap
+        config = self._config(tmp_path, snapshot_every=4,
+                              segment_bytes=segment_bytes)
+        graph = PropertyGraph(name="kg")
+        sink = TenantDurability("kg", config)
+        sink.bootstrap(graph)
+        with RepairSession(graph, RuleSet([])) as session:
+            sink.attach(session)
+            for index in range(8):
+                session.apply(lambda g: g.add_node("P", {"i": index}))
+        sink.close()
+        snapshots = list_snapshots(config.tenant_dir("kg"))
+        assert [load_snapshot(path)[1] for path in snapshots] == [4, 8]
+        snapshots[-1].write_bytes(snapshots[-1].read_bytes()[:-9])
+        recovered = recover("kg", config)
+        assert (recovered.snapshot_sequence, recovered.records_replayed) == (4, 4)
+        assert exactly_equal(recovered.graph, graph)
 
     def test_bootstrap_and_attach_refuse_misuse(self, tmp_path):
         config = self._config(tmp_path)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import InvalidPatternError
+from repro.graph import PropertyGraph
 from repro.matching import (
+    Comparison,
+    ComparisonOp,
     Match,
     Pattern,
     PatternEdge,
@@ -115,6 +118,22 @@ class TestCheckMatchOracle:
         country = tiny_kg.nodes_with_label("Country")[0]
         assert pattern.check_match(tiny_kg, {"x": person.id})
         assert not pattern.check_match(tiny_kg, {"x": country.id})
+
+
+    def test_edge_variables_bind_distinct_edges(self):
+        """As in the matchers, two edge variables never share one data edge."""
+        graph = PropertyGraph()
+        graph.add_node("P", node_id="p")
+        graph.add_node("C", node_id="c")
+        graph.add_edge("p", "c", "r", {"w": 1}, edge_id="only")
+        pattern = Pattern(
+            nodes=[PatternNode("x", "P"), PatternNode("y", "C")],
+            edges=[PatternEdge("x", "y", "r", variable="e0"),
+                   PatternEdge("x", "y", "r", variable="e1")],
+            comparisons=[Comparison(("e0", "w"), ComparisonOp.GE, ("e1", "w"))])
+        assert not pattern.check_match(graph, {"x": "p", "y": "c"})
+        graph.add_edge("p", "c", "r", {"w": 0}, edge_id="second")
+        assert pattern.check_match(graph, {"x": "p", "y": "c"})
 
 
 class TestMatchObject:

@@ -11,8 +11,9 @@ Covered invariants:
 * the pruned enumeration (signature-aware roots, parallel-edge multiplicity,
   same-key self-joins) finds exactly the naive matcher's matches, unseeded
   and from fully-bound seeds, on multigraphs with parallel edges, parallel
-  pattern edges whose predicates may differ, and duplicate, missing and
-  list-valued properties;
+  pattern edges whose predicates may differ, edge-variable comparisons, and
+  duplicate, missing and list-valued properties; every match re-verifies
+  (``Match.is_valid``) against its bound edges;
 * repairing random corrupted graphs of every domain (kg, movies, social)
   reaches a violation-free fixpoint, never lowers quality below the
   do-nothing baseline, and the fast and naive algorithms agree on the
@@ -32,6 +33,8 @@ from repro.graph import ChangeRecorder, PropertyGraph, loads_json, dumps_json
 from repro.matching import (
     CandidateIndex,
     IncrementalMatcher,
+    Comparison,
+    ComparisonOp,
     Matcher,
     MatcherConfig,
     Pattern,
@@ -198,11 +201,12 @@ def multigraph_specs(draw):
 
 @st.composite
 def parallel_pattern_specs(draw):
-    """``(labels, chain, group, self_join)``: node labels of ``v0..vn``;
-    chain edges ``(label, forward)`` joining ``v(i-1)`` and ``vi`` for
-    i >= 2; a parallel group of edge-variable ``v0 -> v1`` edges as
-    ``(label, predicate index)`` pairs (their predicates may differ); and
-    whether ``v0.name == v1.name`` is required."""
+    """``(labels, chain, group, self_join, edge_join)``: node labels of
+    ``v0..vn``; chain edges ``(label, forward)`` joining ``v(i-1)`` and
+    ``vi`` for i >= 2; a parallel group of edge-variable ``v0 -> v1`` edges
+    as ``(label, predicate index)`` pairs (their predicates may differ);
+    whether ``v0.name == v1.name`` is required; and whether ``e0.w >= e1.w``
+    is (with two or more group edges)."""
     num_variables = draw(st.integers(min_value=2, max_value=3))
     labels = draw(st.lists(st.sampled_from(("A", "A", "B")),
                            min_size=num_variables, max_size=num_variables))
@@ -213,7 +217,9 @@ def parallel_pattern_specs(draw):
     group = draw(st.lists(st.integers(0, len(EDGE_PREDICATES) - 1),
                           min_size=1, max_size=3))
     self_join = draw(st.booleans())
-    return labels, chain, [(group_label, index) for index in group], self_join
+    edge_join = draw(st.booleans())
+    return (labels, chain, [(group_label, index) for index in group], self_join,
+            edge_join)
 
 
 def build_multigraph(spec) -> PropertyGraph:
@@ -234,7 +240,7 @@ def build_multigraph(spec) -> PropertyGraph:
 
 
 def build_parallel_pattern(spec) -> Pattern:
-    labels, chain, group, self_join = spec
+    labels, chain, group, self_join, edge_join = spec
     nodes = [PatternNode(f"v{index}", label) for index, label in enumerate(labels)]
     edges = [PatternEdge("v0", "v1", label, variable=f"e{index}",
                          predicates=EDGE_PREDICATES[predicate_index])
@@ -244,6 +250,8 @@ def build_parallel_pattern(spec) -> Pattern:
             (f"v{index}", f"v{index - 1}")
         edges.append(PatternEdge(source, target, label))
     comparisons = [same_value("v0", "name", "v1")] if self_join else []
+    if edge_join and len(group) >= 2:
+        comparisons.append(Comparison(("e0", "w"), ComparisonOp.GE, ("e1", "w")))
     return Pattern(nodes=nodes, edges=edges, comparisons=comparisons,
                    name="parallel-pattern")
 
@@ -255,6 +263,10 @@ def _assert_pruned_equals_naive(graph: PropertyGraph, pattern: Pattern,
     pruned = VF2Matcher(graph=graph, candidate_index=index)
     assert {match.key() for match in pruned.find_matches(pattern)} == \
         {match.key() for match in expected}
+    # a yielded match re-verifies against its own bound edges, and its node
+    # bindings satisfy the reference check with some choice of witnesses
+    assert all(match.is_valid(graph) and pattern.check_match(graph, match.node_bindings)
+               for match in expected)
     # fully-bound probes: every match's node bindings as the seed
     for match in expected:
         probed = pruned.find_matches(pattern, seed=match.node_bindings)
@@ -271,10 +283,15 @@ class TestPrunedEnumerationEquivalence:
     # a match whose parallel pattern edges carry different predicates (one
     # witness each), and a same-key self-join over equal list values
     @example(graph_spec=([("A", 0), ("B", 0)], [(0, 1, "r", [2, 1])]),
-             pattern_spec=(["A", "B"], [], [("r", 2), ("r", 0)], False),
+             pattern_spec=(["A", "B"], [], [("r", 2), ("r", 0)], False, False),
              data=None)
     @example(graph_spec=([("A", 3), ("A", 4), ("A", 5)], [(0, 1, "r", [0])]),
-             pattern_spec=(["A", "A"], [], [("r", 0)], True),
+             pattern_spec=(["A", "A"], [], [("r", 0)], True, False),
+             data=None)
+    # an edge-variable comparison that only a non-first parallel witness
+    # satisfies: re-verification must read the bound edge
+    @example(graph_spec=([("A", 0), ("B", 0)], [(0, 1, "r", [0, 2, 1])]),
+             pattern_spec=(["A", "B"], [], [("r", 0), ("r", 0)], False, True),
              data=None)
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

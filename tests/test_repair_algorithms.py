@@ -16,6 +16,8 @@ from repro.metrics import graph_facts, repair_quality
 from repro.repair import FastRepairer, NaiveRepairer, detect_violations
 from repro.rules import RuleSet, conflict_rule, incompleteness_rule
 
+from graph_oracle import exactly_equal
+
 
 class TestNaiveRepairer:
     def test_reaches_fixpoint_on_tiny_kg(self, tiny_kg, kg_rules):
@@ -119,6 +121,25 @@ class TestEquivalenceOfAlgorithms:
         naive_quality = repair_quality(workload.clean, workload.dirty, naive_graph,
                                        workload.ground_truth)
         assert fast_quality.f1 == pytest.approx(naive_quality.f1)
+
+    def test_parallel_witnesses_validate_against_the_bound_edge(self, kg_rules):
+        # p has two bornIn edges to c1 and one to c2.  The match binding
+        # e1 = eb (0.9) and e2 = ec (0.5) is a real violation, although the
+        # first bornIn witness between p and c1 (ea, 0.1) fails the
+        # comparison: validation must read the bound edges
+        graph = PropertyGraph(name="parallel-birthplaces")
+        graph.add_node("Person", {"name": "p"}, node_id="p")
+        graph.add_node("City", {"name": "c1"}, node_id="c1")
+        graph.add_node("City", {"name": "c2"}, node_id="c2")
+        graph.add_edge("p", "c1", "bornIn", {"confidence": 0.1}, edge_id="ea")
+        graph.add_edge("p", "c1", "bornIn", {"confidence": 0.9}, edge_id="eb")
+        graph.add_edge("p", "c2", "bornIn", {"confidence": 0.5}, edge_id="ec")
+        rules = kg_rules.subset(["kg-single-birthplace"])
+        fast_graph, fast_report = repair_copy(graph, rules, RepairConfig.fast())
+        naive_graph, naive_report = repair_copy(graph, rules, RepairConfig.naive())
+        for report in (fast_report, naive_report):
+            assert report.reached_fixpoint and report.remaining_violations == 0
+        assert exactly_equal(fast_graph, naive_graph)
 
     def test_repairing_a_clean_graph_changes_nothing(self, small_kg_dataset):
         clean = small_kg_dataset.clean
