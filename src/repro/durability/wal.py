@@ -95,7 +95,7 @@ def _fsync_directory(directory: Path) -> None:
 
 
 def read_segment(path: Path, *, is_tail: bool = False, last_only: bool = False,
-                 ) -> tuple[list[dict[str, Any]], int]:
+                 skip: int = 0) -> tuple[list[dict[str, Any]], int]:
     """Read every intact record of one segment.
 
     Returns ``(record documents, intact byte length)``.  With
@@ -103,7 +103,8 @@ def read_segment(path: Path, *, is_tail: bool = False, last_only: bool = False,
     caller truncates to the returned length); otherwise it raises.  With
     ``last_only=True`` frames are checked by their checksums alone and only
     the last intact one is decoded, so the list holds at most that record:
-    all that opening the log needs.
+    all that opening the log needs.  ``skip`` checks the first ``skip``
+    frames by their checksums alone and leaves them out of the list.
     """
     data = path.read_bytes()
     if not data.startswith(MAGIC):
@@ -114,6 +115,7 @@ def read_segment(path: Path, *, is_tail: bool = False, last_only: bool = False,
     records: list[dict[str, Any]] = []
     last = None
     offset = len(MAGIC)
+    frames = 0
     while offset < len(data):
         frame_end = offset + _FRAME.size
         if frame_end > len(data):
@@ -127,11 +129,12 @@ def read_segment(path: Path, *, is_tail: bool = False, last_only: bool = False,
             break  # corrupt (or torn-then-reused) frame
         if last_only:
             last = payload
-        else:
+        elif frames >= skip:
             try:
                 records.append(codec.loads(payload))
             except DurabilityError:
                 break
+        frames += 1
         offset = payload_end
     if offset < len(data) and not is_tail:
         raise DurabilityError(
@@ -333,7 +336,12 @@ class WriteAheadLog:
     def records(self, after: int = 0) -> Iterator[dict[str, Any]]:
         """Record documents with ``seq > after``, in sequence order.
 
-        Segments wholly below the cut are skipped by file name alone.
+        Segments wholly below the cut are skipped by file name alone.  A
+        segment's records are dense from the sequence its name gives, so in
+        the segment that holds the cut the frames up to ``after`` are checked
+        by checksum alone and never decoded.  ``recover()`` checks the
+        sequences it replays dense, so a segment whose records do not start
+        where its name says fails there.
         """
         segments = list_segments(self.directory)
         for index, path in enumerate(segments):
@@ -341,10 +349,9 @@ class WriteAheadLog:
                     and segment_first_sequence(segments[index + 1]) <= after + 1:
                 continue  # every record here is <= after
             is_tail = index == len(segments) - 1
-            records, _ = read_segment(path, is_tail=is_tail)
-            for document in records:
-                if int(document["seq"]) > after:
-                    yield document
+            skip = max(0, after + 1 - segment_first_sequence(path))
+            records, _ = read_segment(path, is_tail=is_tail, skip=skip)
+            yield from records
 
     # ------------------------------------------------------------------
     # truncation / lifecycle

@@ -143,11 +143,7 @@ class Matcher:
     def exists_extension(self, pattern: Pattern, bindings: Mapping[str, str]) -> bool:
         """Whether ``pattern`` has a match consistent with ``bindings``.
 
-        ``bindings`` may bind only a subset of the pattern's variables (the
-        shared evidence variables of an incompleteness rule); the remaining
-        variables are searched.  Bindings for variables that the pattern does
-        not declare are ignored.
+        See :meth:`VF2Matcher.exists_extension
+        <repro.matching.vf2.VF2Matcher.exists_extension>`.
         """
-        seed = {variable: node_id for variable, node_id in bindings.items()
-                if pattern.has_variable(variable)}
-        return self._engine().exists(pattern, seed=seed)
+        return self._engine().exists_extension(pattern, bindings)

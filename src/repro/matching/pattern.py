@@ -113,6 +113,7 @@ class Pattern:
         self.edges: tuple[PatternEdge, ...] = tuple(edges)
         self.comparisons: tuple[Comparison, ...] = tuple(comparisons)
         self._nodes_by_variable: dict[str, PatternNode] = {}
+        self._edge_variables: set[str] = set()
         self._validate()
 
     # ------------------------------------------------------------------
@@ -127,7 +128,7 @@ class Pattern:
                 raise InvalidPatternError(f"duplicate pattern variable {node.variable!r}")
             self._nodes_by_variable[node.variable] = node
 
-        edge_variables: set[str] = set()
+        edge_variables = self._edge_variables
         for edge in self.edges:
             for endpoint in (edge.source, edge.target):
                 if endpoint not in self._nodes_by_variable:
@@ -196,7 +197,7 @@ class Pattern:
             raise InvalidPatternError(f"unknown pattern variable {variable!r}") from None
 
     def has_variable(self, variable: str) -> bool:
-        return variable in self._nodes_by_variable or variable in self.edge_variables
+        return variable in self._nodes_by_variable or variable in self._edge_variables
 
     def edges_touching(self, variable: str) -> list[PatternEdge]:
         """Pattern edges incident to a node variable."""

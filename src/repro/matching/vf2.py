@@ -43,6 +43,12 @@ Hot-path design (this is the inner loop of every repair run):
     and of ``a``'s label, ``a`` must hold a value some other node holds
     too (injectivity), so the index's ``shared`` set filters ``a``.
 
+* an existence probe that binds every node variable of a pattern without
+  edge variables (a *closed* probe: the missing pattern of every stock
+  incompleteness rule) leaves nothing to search, so
+  :meth:`VF2Matcher.exists_extension` answers it by direct witness lookups
+  instead of a seeded search (``closed_probes`` counts them).
+
 Range and membership predicates (``lt/le/gt/ge``, ``IN``) push down the same
 way through the index's sorted value buckets, including cross-variable range
 comparisons that become constant probes once one side binds.
@@ -112,6 +118,9 @@ class MatchingStats(Counters):
     nodes_tried: int = counter(mirror="repro_match_nodes_tried_total")
     backtracks: int = 0
     matches_found: int = counter(mirror="repro_matches_found_total")
+    # existence probes answered by direct witness lookups instead of a
+    # seeded search (see VF2Matcher.exists_extension)
+    closed_probes: int = counter(mirror="repro_closed_probes_total")
     # incremental-maintenance passes driven through this engine (bumped by
     # IncrementalMatcher.apply_delta): one per applied repair in a drain and
     # one per session commit, so it shows how many deltas were maintained
@@ -185,6 +194,10 @@ class _PatternProfile:
     # needing its own witness (groups of one are not listed; empty without
     # an index, so the index-free matcher stays the unpruned reference)
     multiplicity: dict[int, int]
+    # the node variables a closed probe checks (``node_variables`` itself),
+    # or None when the pattern declares edge variables: a probe must then
+    # bind them by search
+    closed: dict[str, object] | None
     # cost-planner plan cache: frozenset of seeded variables -> _PlanState
     plans: dict = field(default_factory=dict)
 
@@ -240,6 +253,25 @@ class VF2Matcher:
               limit: int | None = None) -> int:
         """Number of matches (up to ``limit`` if given)."""
         return sum(1 for _ in self.iter_matches(pattern, seed=seed, limit=limit))
+
+    def exists_extension(self, pattern: Pattern, bindings: Mapping[str, str]) -> bool:
+        """Whether ``pattern`` has a match consistent with ``bindings``.
+
+        ``bindings`` may bind only a subset of the pattern's variables (the
+        shared evidence variables of an incompleteness rule); bindings for
+        variables the pattern does not declare are ignored, and the unbound
+        variables are searched.  A *closed* probe, one that binds every node
+        variable of a pattern without edge variables, leaves nothing to
+        search and is answered by :meth:`_closed_probe` instead.
+        """
+        profile = self._profile(pattern)
+        closed = profile.closed
+        if closed is not None and bindings.keys() >= closed.keys():
+            return self._closed_probe(profile, bindings)
+        has_variable = pattern.has_variable
+        seed = {variable: node_id for variable, node_id in bindings.items()
+                if has_variable(variable)}
+        return self.find_one(pattern, seed=seed) is not None
 
     def iter_matches(self, pattern: Pattern, seed: Mapping[str, str] | None = None,
                      limit: int | None = None) -> Iterator[Match]:
@@ -339,6 +371,7 @@ class VF2Matcher:
             requirements=requirements,
             multiplicity={id(edge): len(group) for group in groups
                           if len(group) > 1 for edge in group},
+            closed=None if edge_variables else node_variables,
         )
         self._profiles[id(pattern)] = profile
         return profile
@@ -419,6 +452,45 @@ class VF2Matcher:
     # ------------------------------------------------------------------
     # search internals
     # ------------------------------------------------------------------
+
+    def _closed_probe(self, profile: _PatternProfile,
+                      bindings: Mapping[str, str]) -> bool:
+        """A closed probe by direct lookups: the checks the seeded search
+        makes when every variable is seeded (each bound node exists, the
+        bound ids are distinct, each node passes its label and predicates,
+        each pattern edge has a witness, the comparisons hold), with the same
+        ``matches_found`` and ``elapsed_seconds`` accounting, and no search.
+        Bindings of variables the pattern does not declare are never read."""
+        started = time.perf_counter()
+        stats = self.stats
+        stats.closed_probes += 1
+        try:
+            closed = profile.closed
+            nodes = self.graph.node_store
+            for variable, pattern_node in closed.items():
+                node = nodes.get(bindings[variable])
+                if node is None or not pattern_node.matches(node):
+                    return False
+            if len(closed) > 1 and len({bindings[variable]
+                                        for variable in closed}) < len(closed):
+                return False
+            has_witness = self._has_witness
+            pattern = profile.pattern
+            for edge in pattern.edges:
+                if not has_witness(bindings[edge.source], bindings[edge.target],
+                                   edge):
+                    return False
+            if pattern.comparisons:
+                def lookup(variable: str) -> Mapping[str, object]:
+                    return nodes[bindings[variable]].properties
+
+                if not all(comparison.evaluate(lookup)
+                           for comparison in pattern.comparisons):
+                    return False
+            stats.matches_found += 1
+            return True
+        finally:
+            stats.elapsed_seconds += time.perf_counter() - started
 
     def _seed_edges_consistent(self, pattern: Pattern, assignment: dict[str, str]) -> bool:
         for edge in pattern.edges:

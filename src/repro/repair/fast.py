@@ -20,6 +20,15 @@ its per-round full re-matching:
   pattern, with edge changes filtered by the labels the missing pattern
   reads, and the whole store when the missing pattern has variables of its
   own.
+* an incompleteness match violates its rule when the missing pattern has
+  no extension consistent with it; one
+  :class:`~repro.matching.vf2.VF2Matcher` (the *extension prober*) answers
+  every such probe through
+  :meth:`~repro.matching.vf2.VF2Matcher.exists_extension`.  A missing
+  pattern with no variables of its own and no edge variables is *closed*:
+  the match binds all of its nodes, so a probe is a few direct witness
+  lookups, with no seeded search (every stock incompleteness rule is
+  closed);
 * the **fixpoint check** re-checks a violation ledger rather than every
   stored match: each stored match found violating (by detection,
   discovery, or the recheck) enters it, and leaves once re-checked as no
@@ -57,13 +66,12 @@ import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.graph.delta import GraphDelta
 from repro.graph.property_graph import PropertyGraph
 from repro.matching.incremental import IncrementalMatcher
 from repro.matching.index import CandidateIndex
-from repro.matching.pattern import Match, Pattern
+from repro.matching.pattern import Match
 from repro.matching.vf2 import MatchingStats, VF2Matcher
 from repro.repair.config import RepairConfig
 from repro.repair.events import MaintenanceEvent
@@ -90,31 +98,6 @@ class AppliedRepair:
     region: frozenset[str]
     delta: GraphDelta
     match: "Match | None" = None
-
-
-class _ExtensionChecker:
-    """Minimal ``exists_extension`` provider shared with the rules' violation check.
-
-    One :class:`VF2Matcher` instance is reused for every existence probe, so
-    the per-pattern search plans are compiled once per repair run and the
-    probes' :class:`~repro.matching.vf2.MatchingStats` accumulate (merged into
-    the repair report).
-    """
-
-    def __init__(self, graph: PropertyGraph, index: CandidateIndex | None,
-                 use_decomposition: bool, use_cost_planner: bool = True) -> None:
-        self._engine = VF2Matcher(graph=graph, candidate_index=index,
-                                  use_decomposition=use_decomposition,
-                                  use_cost_planner=use_cost_planner)
-
-    @property
-    def stats(self):
-        return self._engine.stats
-
-    def exists_extension(self, pattern: Pattern, bindings: Mapping[str, str]) -> bool:
-        seed = {variable: node_id for variable, node_id in bindings.items()
-                if pattern.has_variable(variable)}
-        return self._engine.exists(pattern, seed=seed)
 
 
 class FastRepairCore:
@@ -178,8 +161,11 @@ class FastRepairCore:
             graph, candidate_index=self.index,
             use_decomposition=config.use_decomposition,
             use_cost_planner=config.use_cost_planner)
-        self.checker = _ExtensionChecker(graph, self.index, config.use_decomposition,
-                                         config.use_cost_planner)
+        # one engine answers every existence probe, so the missing patterns'
+        # compiled profiles are reused and the probes' counters accumulate
+        self.checker = VF2Matcher(graph=graph, candidate_index=self.index,
+                                  use_decomposition=config.use_decomposition,
+                                  use_cost_planner=config.use_cost_planner)
         self.executor = RepairExecutor(graph, cost_model=config.cost_model)
 
         self.rules_by_pattern: dict[str, GraphRepairingRule] = {}

@@ -131,7 +131,8 @@ class RepairReport:
             f"  fixpoint: {self.reached_fixpoint}, rounds: {self.rounds}, "
             f"elapsed: {self.elapsed_seconds:.3f}s",
             f"  matching: {self.matching_stats.nodes_tried} nodes tried, "
-            f"{self.matching_stats.backtracks} backtracks",
+            f"{self.matching_stats.backtracks} backtracks, "
+            f"{self.matching_stats.closed_probes} closed probes",
             f"  index pruning: {self.matching_stats.label_bucket_candidates} label-bucket "
             f"candidates, {self.matching_stats.value_bucket_candidates} value-bucket, "
             f"{self.matching_stats.range_bucket_candidates} range/membership, "

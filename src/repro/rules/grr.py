@@ -144,7 +144,8 @@ class GraphRepairingRule:
         """Decide whether ``match`` constitutes a violation of this rule.
 
         ``matcher`` is any object providing ``exists_extension(pattern,
-        bindings)`` (see :class:`repro.matching.matcher.Matcher`).  For
+        bindings)`` (see :meth:`repro.matching.vf2.VF2Matcher.exists_extension`,
+        to which :class:`repro.matching.matcher.Matcher` delegates).  For
         conflict and redundancy rules every pattern match is a violation; for
         incompleteness rules the match is a violation only if the missing
         pattern has *no* extension consistent with the shared variables.

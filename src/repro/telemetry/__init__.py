@@ -105,6 +105,9 @@ CATALOGUE: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "repro_matches_found_total": (
         "counter", "Matches found (equals MatchingStats.matches_found)",
         ("tenant", "backend")),
+    "repro_closed_probes_total": (
+        "counter", "Existence probes answered by direct witness lookups "
+        "(equals MatchingStats.closed_probes)", ("tenant", "backend")),
     "repro_maintenance_passes_total": (
         "counter", "Incremental maintenance passes "
         "(equals MatchingStats.maintenance_passes)", ("tenant", "backend")),

@@ -23,7 +23,8 @@ REPORT_KEYS = [
     "method", "graph", "rules", "rounds", "violations_detected",
     "repairs_applied", "repairs_failed", "repairs_obsolete",
     "remaining_violations", "reached_fixpoint", "matches_enumerated",
-    "seeded_searches", "nodes_tried", "backtracks", "maintenance_passes",
+    "seeded_searches", "nodes_tried", "backtracks", "closed_probes",
+    "maintenance_passes",
     "label_bucket_candidates", "value_bucket_candidates",
     "range_bucket_candidates", "predicate_survivors", "planner_plans",
     "planner_replans", "planner_orders", "planner_estimated",

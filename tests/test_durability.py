@@ -41,6 +41,7 @@ from repro.durability.snapshot import (
     write_snapshot,
 )
 from repro.durability.wal import (
+    MAGIC,
     list_segments,
     read_segment,
     segment_first_sequence,
@@ -230,6 +231,27 @@ class TestWriteAheadLog:
         with pytest.raises(DurabilityError, match="damaged beyond torn-tail"):
             WriteAheadLog(tmp_path, fsync=False)
 
+    def test_sealed_corruption_before_the_cut_raises(self, tmp_path):
+        """Frames before a replay cut are checked by checksum, not decoded:
+        a bad checksum there in a sealed segment still fails the read."""
+        with WriteAheadLog(tmp_path, segment_bytes=512, fsync=False) as wal:
+            for sequence in range(1, 13):
+                wal.append(_record(sequence))
+            segments = list_segments(tmp_path)
+            assert len(segments) > 2
+            sealed = segments[1]
+            first = segment_first_sequence(sealed)
+            after = first + 1  # the cut falls inside the sealed segment
+            assert segment_first_sequence(segments[2]) > after + 1
+            assert [r["seq"] for r in wal.records(after=after)] \
+                == list(range(after + 1, 13))
+            data = bytearray(sealed.read_bytes())
+            data[len(MAGIC) + 12] ^= 0xFF  # inside the first frame's payload
+            sealed.write_bytes(bytes(data))
+            with pytest.raises(DurabilityError,
+                               match="damaged beyond torn-tail"):
+                list(wal.records(after=after))
+
 
 # ---------------------------------------------------------------------------
 # snapshots
@@ -353,6 +375,39 @@ class TestTenantDurability:
         snapshots[-1].write_bytes(snapshots[-1].read_bytes()[:-9])
         recovered = recover("kg", config)
         assert (recovered.snapshot_sequence, recovered.records_replayed) == (4, 4)
+        assert exactly_equal(recovered.graph, graph)
+
+    @pytest.mark.parametrize("segment_bytes", [2048, 4 * 1024 * 1024])
+    def test_replay_decodes_only_records_after_the_snapshot(
+            self, tmp_path, monkeypatch, segment_bytes):
+        config = self._config(tmp_path, snapshot_every=256,
+                              segment_bytes=segment_bytes)
+        graph = PropertyGraph(name="kg")
+        sink = TenantDurability("kg", config)
+        sink.bootstrap(graph)
+        with RepairSession(graph, RuleSet([])) as session:
+            sink.attach(session)
+            for index in range(400):
+                session.apply(lambda g: g.add_node("P", {"i": index}))
+        sink.close()
+        assert [load_snapshot(path)[1]
+                for path in list_snapshots(config.tenant_dir("kg"))][-1] == 256
+        decoded = []
+        loads = codec.loads
+
+        def counting_loads(payload):
+            decoded.append(loads(payload))
+            return decoded[-1]
+
+        with WriteAheadLog(config.tenant_dir("kg"), fsync=False) as wal:
+            monkeypatch.setattr(codec, "loads", counting_loads)
+            replayed = [record["seq"] for record in wal.records(after=256)]
+            monkeypatch.undo()
+        assert replayed == list(range(257, 401))
+        assert len(decoded) == 144
+        recovered = recover("kg", config)
+        assert (recovered.snapshot_sequence, recovered.records_replayed) \
+            == (256, 144)
         assert exactly_equal(recovered.graph, graph)
 
     def test_bootstrap_and_attach_refuse_misuse(self, tmp_path):

@@ -14,6 +14,12 @@ Covered invariants:
   pattern edges whose predicates may differ, edge-variable comparisons, and
   duplicate, missing and list-valued properties; every match re-verifies
   (``Match.is_valid``) against its bound edges;
+* a closed existence probe (every node variable bound, no edge
+  variables), answered by direct witness lookups, agrees with the
+  ``check_match`` oracle and with the seeded search, on multigraphs with
+  self-loops, parallel edges and edge predicates and on bindings to absent,
+  repeated and wrongly-labelled nodes; every other probe searches; and the
+  stock incompleteness rules probe only by the closed path;
 * repairing random corrupted graphs of every domain (kg, movies, social)
   reaches a violation-free fixpoint, never lowers quality below the
   do-nothing baseline, and the fast and naive algorithms agree on the
@@ -26,6 +32,8 @@ from collections import Counter
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+
+import pytest
 
 from repro.api import RepairConfig, repair_copy
 from repro.datasets import build_workload
@@ -42,7 +50,9 @@ from repro.matching import (
     PatternNode,
     VF2Matcher,
     eq,
+    exists,
     same_value,
+    value_is,
 )
 from repro.metrics import graph_facts, repair_quality
 from repro.repair import detect_violations
@@ -329,6 +339,159 @@ class TestPrunedEnumerationEquivalence:
         assert index.check_value_integrity()
         _assert_pruned_equals_naive(graph, pattern, index)
         index.detach()
+
+
+# the unary predicates a missing-pattern node may carry: ``exists("name")``
+# is the shape ``RuleBuilder.missing_property`` builds
+NODE_PREDICATES = ((), (exists("name"),), (eq("name", "x"),))
+# an id no graph holds, bound to probe absent nodes
+ABSENT = "absent-node"
+
+
+@st.composite
+def closed_probe_specs(draw):
+    """``(nodes, edges, comparisons, bound, extra)`` of one missing pattern
+    and its probe: node ``(label, predicate index)`` pairs of ``v0..vn``;
+    edges ``(source, target, label, predicate index, edge variable?)``, a
+    chain that keeps the pattern connected, then self-loops and parallel
+    edges; comparison kinds; the node index (or None for an absent id) bound
+    to each variable, or ``"free"`` for a variable left to the search; and
+    whether the bindings carry a variable the pattern does not declare."""
+    num_variables = draw(st.integers(min_value=1, max_value=3))
+    nodes = draw(st.lists(
+        st.tuples(st.sampled_from(("A", "B", None)),
+                  st.integers(0, len(NODE_PREDICATES) - 1)),
+        min_size=num_variables, max_size=num_variables))
+    edge = st.tuples(st.sampled_from(("r", "s", None)),
+                     st.integers(0, len(EDGE_PREDICATES) - 1))
+    edges = []
+    for index in range(1, num_variables):
+        label, predicate = draw(edge)
+        ends = (index - 1, index) if draw(st.booleans()) else (index, index - 1)
+        edges.append((*ends, label, predicate))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        label, predicate = draw(edge)
+        if draw(st.booleans()):  # a self-loop
+            variable = draw(st.integers(0, num_variables - 1))
+            edges.append((variable, variable, label, predicate))
+        elif edges:  # parallel to an earlier edge, predicates may differ
+            source, target, _, _ = draw(st.sampled_from(edges))
+            edges.append((source, target, label, predicate))
+    with_edge_variable = bool(edges) and draw(st.integers(0, 4)) == 0
+    edges = [(*spec, with_edge_variable and index == 0)
+             for index, spec in enumerate(edges)]
+    comparisons = draw(st.lists(st.sampled_from(("same-name", "name-is-x")),
+                                max_size=2))
+    bound = draw(st.lists(
+        st.one_of(st.none(), st.integers(0, 4),
+                  st.just("free") if num_variables > 1 else st.nothing()),
+        min_size=num_variables, max_size=num_variables))
+    return nodes, edges, comparisons, bound, draw(st.booleans())
+
+
+def build_missing_pattern(spec) -> Pattern:
+    nodes, edges, comparisons, _, _ = spec
+    pattern_comparisons = []
+    for kind in comparisons:
+        if kind == "same-name" and len(nodes) > 1:
+            pattern_comparisons.append(same_value("v0", "name", f"v{len(nodes) - 1}"))
+        elif kind == "name-is-x":
+            pattern_comparisons.append(value_is("v0", "name", "x"))
+    return Pattern(
+        nodes=[PatternNode(f"v{index}", label, NODE_PREDICATES[predicate])
+               for index, (label, predicate) in enumerate(nodes)],
+        edges=[PatternEdge(f"v{source}", f"v{target}", label,
+                           variable="e0" if edge_variable else None,
+                           predicates=EDGE_PREDICATES[predicate])
+               for source, target, label, predicate, edge_variable in edges],
+        comparisons=pattern_comparisons, name="missing-pattern")
+
+
+def probe_bindings(spec, graph: PropertyGraph) -> dict[str, str]:
+    """The probe's bindings: node ids by index (repeats allowed), an absent
+    id for None, no binding for a free variable, and optionally one binding
+    for a variable the pattern does not declare."""
+    _, _, _, bound, extra = spec
+    ids = graph.node_ids()
+    bindings = {f"v{variable}": ABSENT if choice is None else ids[choice % len(ids)]
+                for variable, choice in enumerate(bound) if choice != "free"}
+    if extra:
+        bindings["evidence-only"] = ids[0]
+    return bindings
+
+
+class TestClosedProbes:
+    """A closed probe answers by lookups what the seeded search answers by
+    searching: same result, same ``matches_found``, no nodes tried."""
+
+    @given(graph_spec=multigraph_specs(), probe_spec=closed_probe_specs())
+    # a self-loop that only a parallel loop with the right weight witnesses
+    @example(graph_spec=([("A", 1), ("B", 0)], [(0, 0, "r", [0, 2]), (0, 1, "s", [0])]),
+             probe_spec=([("A", 1), ("B", 0)],
+                         [(0, 1, "s", 0, False), (0, 0, "r", 2, False)],
+                         ["name-is-x"], [0, 1], False))
+    # two variables bound to one node, and a wrongly-labelled binding
+    @example(graph_spec=([("A", 1), ("B", 1)], [(0, 0, "r", [0])]),
+             probe_spec=([("A", 0), ("A", 1)], [(0, 1, None, 0, False)],
+                         ["same-name"], [0, 0], True))
+    @example(graph_spec=([("A", 1), ("B", 1)], [(0, 1, "r", [0])]),
+             probe_spec=([("A", 0), ("A", 0)], [(0, 1, "r", 0, False)],
+                         [], [0, 1], False))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_closed_probe_equals_oracle_and_seeded_search(self, graph_spec,
+                                                          probe_spec):
+        graph = build_multigraph(graph_spec)
+        pattern = build_missing_pattern(probe_spec)
+        bindings = probe_bindings(probe_spec, graph)
+        seed = {variable: node_id for variable, node_id in bindings.items()
+                if pattern.has_variable(variable)}
+        searched = VF2Matcher(graph=graph).find_one(pattern, seed=seed) is not None
+        closed = (not pattern.edge_variables
+                  and len(seed) == len(pattern.nodes))
+        for index in (None, CandidateIndex(graph)):
+            matcher = VF2Matcher(graph=graph, candidate_index=index)
+            answer = matcher.exists_extension(pattern, bindings)
+            assert answer == searched
+            stats = matcher.stats
+            assert stats.matches_found == int(answer)
+            if closed:
+                assert answer == pattern.check_match(graph, seed)
+                assert (stats.closed_probes, stats.nodes_tried) == (1, 0)
+                assert stats.planner_plans == 0
+            else:
+                assert stats.closed_probes == 0
+
+    @pytest.mark.parametrize("domain, scale, expected", [
+        # (repairs applied, violations detected, seeded searches,
+        #  nodes tried, matches found), as the seeded-search probes gave
+        ("kg", 60, (21, 38, 23, 304, 179)),
+        ("social", 50, (46, 110, 55, 641, 467)),
+    ])
+    def test_stock_rules_probe_only_closed(self, monkeypatch, domain, scale,
+                                           expected):
+        workload = build_workload(domain, scale=scale, error_rate=0.08, seed=3)
+        missing = {rule.missing.name for rule in workload.rules
+                   if rule.missing is not None}
+        assert missing
+        probes = []
+        exists_extension = VF2Matcher.exists_extension
+
+        def counting(matcher, pattern, bindings):
+            probes.append(pattern.name)
+            return exists_extension(matcher, pattern, bindings)
+
+        monkeypatch.setattr(VF2Matcher, "exists_extension", counting)
+        _, report = repair_copy(workload.dirty, workload.rules, RepairConfig.fast())
+        stats = report.matching_stats
+        assert report.reached_fixpoint and report.remaining_violations == 0
+        assert (report.repairs_applied, report.violations_detected,
+                report.seeded_searches, stats.nodes_tried,
+                stats.matches_found) == expected
+        assert set(probes) == missing
+        assert stats.closed_probes == len(probes)
+        # no plan is built for a missing pattern
+        assert not missing & set(stats.planner_orders)
 
 
 class TestRepairInvariants:

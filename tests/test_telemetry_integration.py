@@ -66,6 +66,8 @@ def _assert_counters_equal_report(snapshot, report, stats, tenant: str,
         == stats.nodes_tried
     assert _counter(snapshot, "repro_matches_found_total", **labels) \
         == stats.matches_found
+    assert _counter(snapshot, "repro_closed_probes_total", **labels) \
+        == stats.closed_probes
     assert _counter(snapshot, "repro_maintenance_passes_total", **labels) \
         == stats.maintenance_passes
 
@@ -85,6 +87,8 @@ class TestCounterEquivalence:
                 report = session.repair()
                 stats = session.stats
         assert report.repairs_applied > 0
+        # every stock rule library has a closed incompleteness rule
+        assert stats.closed_probes > 0
         _assert_counters_equal_report(registry.snapshot(), report, stats,
                                       "tenant-x", config.backend)
 
