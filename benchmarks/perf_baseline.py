@@ -453,12 +453,11 @@ TRAFFIC_FLOOD_BATCH = 12
 TRAFFIC_FLOOD_QUOTA = 8
 
 #: service-traffic live phase: event-loop clients over the running
-#: scheduler (threaded ticks), measuring sustained edits/sec and the
+#: scheduler (woken by each submit), measuring sustained edits/sec and the
 #: commit→repaired latency percentiles from the telemetry histogram
 TRAFFIC_CLIENTS = 6
 TRAFFIC_EDITS_PER_CLIENT = 20
 TRAFFIC_LIVE_FLOOD = 100
-TRAFFIC_TICK_INTERVAL = 0.01
 
 
 def measure_traffic(workload) -> dict[str, Any]:
@@ -486,7 +485,7 @@ def measure_traffic(workload) -> dict[str, Any]:
 
     from repro import telemetry
     from repro.ingest import (AdmissionError, AsyncRepairService,
-                              IngestConfig, IngestFront, TenantQuota)
+                              IngestFront, TenantQuota)
     from repro.service import GraphRepairService
 
     def touch(node_id, key, value):
@@ -549,8 +548,7 @@ def measure_traffic(workload) -> dict[str, Any]:
                                .graph.nodes())).id
         live_rejected = 0
         with telemetry.collecting() as (registry, _tracer):
-            config = IngestConfig(tick_interval=TRAFFIC_TICK_INTERVAL)
-            with IngestFront(service, config) as front:
+            with IngestFront(service) as front:
                 front.register("steady-live", TenantQuota(max_pending=1024))
                 front.register("flood-live", TenantQuota(
                     max_pending=TRAFFIC_FLOOD_QUOTA, policy="reject"))

@@ -123,7 +123,7 @@ def main(kg_scale: int = 120, movie_scale: int = 100) -> None:
             service.serve("kg", kg.dirty.copy(name="kg"), kg.rules)
             service.serve("movies", movies.dirty.copy(name="movies"),
                           movies.rules)
-            config = IngestConfig(tick_interval=0.01, max_repairs_per_tick=2)
+            config = IngestConfig(max_repairs_per_tick=2)
             with IngestFront(service, config) as front:
                 front.register("kg", TenantQuota(max_pending=8,
                                                  policy="reject",

@@ -6,8 +6,8 @@ Two dataclasses, both plain values:
   do when the bound is hit (``block`` / ``reject`` / ``shed_oldest``),
   the staleness SLA the scheduler orders work by, and a scheduling
   weight.
-* :class:`IngestConfig` — front-wide knobs: the default quota, the
-  scheduler's tick interval, and how many tenants one tick may repair.
+* :class:`IngestConfig` — front-wide knobs: the default quota, how many
+  tenants one scheduling pass may repair, and the repair backoff.
 
 Everything is validated eagerly in ``__post_init__`` so a typo'd policy
 string fails at construction, not at the first full queue.
@@ -71,28 +71,25 @@ class TenantQuota:
 class IngestConfig:
     """Front-wide configuration for :class:`~repro.ingest.IngestFront`.
 
-    ``tick_interval`` is the background thread's cadence between
-    scheduling passes; ``max_repairs_per_tick`` bounds how many tenants
-    one pass repairs (the rest wait for the next tick, keeping a single
-    pass short).  ``default_quota`` applies to tenants registered without
-    an explicit :class:`TenantQuota`.
+    ``max_repairs_per_tick`` bounds how many tenants one scheduling pass
+    repairs (the rest wait for the next pass, which follows at once,
+    keeping a single pass short).  ``default_quota`` applies to tenants
+    registered without an explicit :class:`TenantQuota`.
 
     ``repair_backoff_base`` / ``repair_backoff_max`` govern retry backoff
     for *failing* repairs: a tenant whose repair raised is skipped by the
     scheduler for ``base * 2**(failures - 1)`` seconds (capped at ``max``)
-    instead of burning a slot in every tick; the first success resets it.
-    ``repair_backoff_base = 0`` disables backoff.
+    instead of burning a slot in every pass; the first success resets it.
+    ``repair_backoff_base = 0`` disables backoff: a failing tenant is then
+    retried on the scheduler's next wake-up.
     """
 
-    tick_interval: float = 0.05
     max_repairs_per_tick: int = 4
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     repair_backoff_base: float = 0.1
     repair_backoff_max: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be > 0")
         if self.max_repairs_per_tick < 1:
             raise ValueError("max_repairs_per_tick must be >= 1")
         if self.repair_backoff_base < 0:

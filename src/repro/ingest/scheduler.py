@@ -19,9 +19,15 @@ edit/repair API into an ingestion pipeline:
   a cap and staleness eventually wins (no starvation).  Sharded tenants'
   repairs run under a :meth:`WorkerPool.lease`, so concurrent direct
   callers time-slice the shared pool fairly with the scheduler.
-* **start/stop** — a daemon thread calls ``tick`` every
-  ``tick_interval`` seconds.  ``tick`` may also be driven manually (do
-  not ``start`` then) for deterministic tests and benchmarks.
+* **start/stop** — a daemon thread runs ``tick`` when there is work:
+  it sleeps on one event that a submit, a registration, a commit
+  published to a registered tenant by any caller, or ``stop`` sets, with
+  the earliest open backoff deadline as the only timeout.  A pass that
+  committed or repaired anything is followed at once by the next, so
+  edits that arrive during a commit and its repair fold into the next
+  commit (group commit); a pass that did nothing sleeps.  ``tick`` may
+  also be driven manually (do not ``start`` then) for deterministic
+  tests and benchmarks.
 * **wait_for_repair** — read-your-writes: blocks until every changefeed
   record up to a sequence has been reconciled by a repair.  The
   callback-based :meth:`add_repair_waiter` underneath is what the
@@ -33,7 +39,7 @@ scheduler carries on with the others.  A tenant whose *repairs* keep
 failing additionally backs off exponentially
 (``IngestConfig.repair_backoff_base`` doubling per consecutive failure up
 to ``repair_backoff_max``) so a poisoned tenant stops burning a repair
-slot in every tick; the first successful repair resets the backoff.
+slot in every pass; the first successful repair resets the backoff.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ class _TenantFront:
     __slots__ = ("queue", "quota", "force_dirty", "last_served", "inflight",
                  "submitted", "rejected", "shed", "committed", "commits",
                  "coalesced", "repairs", "latencies", "last_error",
-                 "consecutive_failures", "backoff_until", "backoffs")
+                 "consecutive_failures", "backoff_until", "backoffs",
+                 "unsubscribe")
 
     def __init__(self, name: str, quota: TenantQuota) -> None:
         self.queue = EditQueue(name, quota)
@@ -84,6 +91,7 @@ class _TenantFront:
         self.consecutive_failures = 0
         self.backoff_until = 0.0
         self.backoffs = 0
+        self.unsubscribe: Callable[[], None] = lambda: None
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -113,6 +121,7 @@ class IngestFront:
         self._waiters: list[tuple[str, int, Callable[[bool], None]]] = []
         self._waiter_lock = threading.Lock()
         self._ticks = 0
+        self._wake = threading.Event()          # set when there is work
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._closed = False
@@ -145,7 +154,15 @@ class IngestFront:
                 recovered = None
             if recovered is not None and not recovered.known_clean:
                 state.force_dirty = True
+            state.unsubscribe = self._service.subscribe(name,
+                                                        self._on_record)
             self._tenants[name] = state
+        self._wake.set()
+
+    def _on_record(self, record) -> None:
+        """Changefeed hook: any caller's commit makes the tenant dirty."""
+        if record.source == "commit":
+            self._wake.set()
 
     def deregister(self, name: str) -> None:
         """Close one tenant's queue, failing its unresolved acks."""
@@ -153,6 +170,7 @@ class IngestFront:
             state = self._tenants.pop(name, None)
         if state is not None:
             self._fail_leftovers(name, state)
+            state.unsubscribe()
 
     def tenants(self) -> list[str]:
         """Registered tenant names, sorted."""
@@ -187,6 +205,7 @@ class IngestFront:
         with self._lock:
             state.submitted += 1
             state.shed += len(shed)
+        self._wake.set()
         if telemetry.TELEMETRY.enabled:
             telemetry.inc("repro_ingest_submitted_total", tenant=name)
             telemetry.gauge_set("repro_ingest_queue_depth", len(state.queue),
@@ -293,7 +312,7 @@ class IngestFront:
                     continue
                 if state.backoff_until > now:
                     # a persistently failing tenant sits out its backoff
-                    # window instead of burning a repair slot every tick
+                    # window instead of burning a repair slot every pass
                     continue
                 score = ((stale.seconds_since_repair / state.quota.sla_seconds)
                          * state.quota.weight
@@ -452,10 +471,6 @@ class IngestFront:
             if moved == 0:
                 return total
 
-    def drain(self) -> int:
-        """Alias for ``flush()`` over every tenant."""
-        return self.flush()
-
     def quiesce(self, timeout: float = 30.0) -> None:
         """Drain every queue AND repair every dirty tenant, blocking until
         the whole front is clean (no queued edits, no pending deltas).
@@ -492,28 +507,54 @@ class IngestFront:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the background scheduler thread (daemon).
+        """Start the background scheduler thread (daemon); its first pass
+        runs at once, over whatever was queued or dirty before.
 
         Do not mix with manual :meth:`tick` calls — the thread owns the
-        cadence once started.
+        passes once started.
         """
         self._require_open()
         with self._lock:
             if self._thread is not None:
                 raise IngestError("the scheduler is already running")
             self._stop.clear()
+            self._wake.set()
             self._thread = threading.Thread(target=self._run,
                                             name="repro-ingest-scheduler",
                                             daemon=True)
             self._thread.start()
 
     def _run(self) -> None:
-        while not self._stop.wait(self._config.tick_interval):
+        """Group commit: sleep until there is work, then pass until a pass
+        finds none.  Clearing the wake-up *before* a pass means that an
+        edit submitted during it is never missed."""
+        while True:
+            self._wake.wait(self._next_backoff_deadline())
+            if self._stop.is_set():
+                return
+            self._wake.clear()
             try:
-                self.tick()
+                done = self.tick()
+                busy = done["commits"] or done["repairs"]
             except Exception as exc:  # keep the scheduler alive
                 with self._lock:
                     self._last_tick_error = repr(exc)
+                busy = False
+            if busy or self._queued():
+                self._wake.set()
+
+    def _next_backoff_deadline(self) -> Optional[float]:
+        """Seconds until the earliest open backoff window closes, or
+        ``None`` (sleep until woken) when no window is open."""
+        now = time.monotonic()
+        with self._lock:
+            deadlines = [state.backoff_until for state in self._tenants.values()
+                         if state.backoff_until > now]
+        return min(deadlines) - now if deadlines else None
+
+    def _queued(self) -> bool:
+        with self._lock:
+            return any(len(state.queue) for state in self._tenants.values())
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the background thread (queued work stays queued)."""
@@ -522,6 +563,7 @@ class IngestFront:
         if thread is None:
             return
         self._stop.set()
+        self._wake.set()
         thread.join(timeout)
 
     @property
@@ -541,6 +583,7 @@ class IngestFront:
             tenants = dict(self._tenants)
         for name, state in tenants.items():
             self._fail_leftovers(name, state)
+            state.unsubscribe()
         self._fire_repair_waiters(closing=True)
 
     def __enter__(self) -> "IngestFront":

@@ -57,7 +57,9 @@ class Matcher:
     maintain_index: bool = True
     stats: MatchingStats = field(default_factory=MatchingStats)
     _index: CandidateIndex | None = field(default=None, repr=False)
-    _shared_engine: VF2Matcher | None = field(default=None, repr=False)
+    # One engine for the matcher's lifetime: compiled per-pattern search
+    # plans are reused across queries and stats accumulate in one place.
+    _engine: VF2Matcher | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.config.use_candidate_index:
@@ -68,7 +70,7 @@ class Matcher:
                             use_decomposition=self.config.use_decomposition,
                             use_cost_planner=self.config.use_cost_planner)
         engine.stats = self.stats
-        self._shared_engine = engine
+        self._engine = engine
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -93,52 +95,33 @@ class Matcher:
     # queries
     # ------------------------------------------------------------------
 
-    def _engine(self) -> VF2Matcher:
-        # One engine for the matcher's lifetime: compiled per-pattern search
-        # plans are reused across queries and stats accumulate in one place.
-        return self._shared_engine
+    @staticmethod
+    def _timed(phase: str, query, *args, **kwargs):
+        """Run ``query``, observing its wall time as ``repro_match_seconds``
+        under ``phase`` when telemetry is on (and timing nothing when off)."""
+        if not _TELEMETRY.enabled:
+            return query(*args, **kwargs)
+        started = time.perf_counter()
+        try:
+            return query(*args, **kwargs)
+        finally:
+            _observe("repro_match_seconds", time.perf_counter() - started,
+                     phase=phase)
 
     def find_matches(self, pattern: Pattern, seed: Mapping[str, str] | None = None,
                      limit: int | None = None) -> list[Match]:
         """All matches of ``pattern`` (at most ``limit`` when given)."""
-        if not _TELEMETRY.enabled:
-            return self._engine().find_matches(pattern, seed=seed, limit=limit)
-        started = time.perf_counter()
-        try:
-            return self._engine().find_matches(pattern, seed=seed, limit=limit)
-        finally:
-            _observe("repro_match_seconds", time.perf_counter() - started,
-                     phase="find-matches")
+        return self._timed("find-matches", self._engine.find_matches, pattern,
+                           seed=seed, limit=limit)
 
     def find_one(self, pattern: Pattern, seed: Mapping[str, str] | None = None) -> Match | None:
-        if not _TELEMETRY.enabled:
-            return self._engine().find_one(pattern, seed=seed)
-        started = time.perf_counter()
-        try:
-            return self._engine().find_one(pattern, seed=seed)
-        finally:
-            _observe("repro_match_seconds", time.perf_counter() - started,
-                     phase="find-one")
+        return self._timed("find-one", self._engine.find_one, pattern, seed=seed)
 
     def exists(self, pattern: Pattern, seed: Mapping[str, str] | None = None) -> bool:
-        if not _TELEMETRY.enabled:
-            return self._engine().exists(pattern, seed=seed)
-        started = time.perf_counter()
-        try:
-            return self._engine().exists(pattern, seed=seed)
-        finally:
-            _observe("repro_match_seconds", time.perf_counter() - started,
-                     phase="exists")
+        return self._timed("exists", self._engine.exists, pattern, seed=seed)
 
     def count(self, pattern: Pattern, limit: int | None = None) -> int:
-        if not _TELEMETRY.enabled:
-            return self._engine().count(pattern, limit=limit)
-        started = time.perf_counter()
-        try:
-            return self._engine().count(pattern, limit=limit)
-        finally:
-            _observe("repro_match_seconds", time.perf_counter() - started,
-                     phase="count")
+        return self._timed("count", self._engine.count, pattern, limit=limit)
 
     def exists_extension(self, pattern: Pattern, bindings: Mapping[str, str]) -> bool:
         """Whether ``pattern`` has a match consistent with ``bindings``.
@@ -146,4 +129,4 @@ class Matcher:
         See :meth:`VF2Matcher.exists_extension
         <repro.matching.vf2.VF2Matcher.exists_extension>`.
         """
-        return self._engine().exists_extension(pattern, bindings)
+        return self._engine.exists_extension(pattern, bindings)

@@ -219,7 +219,7 @@ CATALOGUE: dict[str, tuple[str, str, tuple[str, ...]]] = {
         "histogram", "Latency from a commit's changefeed publish to the end "
         "of the repair pass that covered it", ("tenant",)),
     "repro_scheduler_ticks_total": (
-        "counter", "Scheduling decisions taken by the repair scheduler", ()),
+        "counter", "Scheduling passes run by the ingest scheduler", ()),
     "repro_scheduler_repairs_total": (
         "counter", "Repair passes run by the scheduler", ("tenant",)),
     "repro_feed_dropped_records_total": (

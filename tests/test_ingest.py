@@ -8,10 +8,14 @@ no background thread); thread-liveness tests start the real scheduler.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import RepairConfig, RepairSession, telemetry
 from repro.exceptions import AdmissionError, IngestError
@@ -53,9 +57,24 @@ class TestQuotaValidation:
 
     def test_ingest_config_is_validated(self):
         with pytest.raises(ValueError):
-            IngestConfig(tick_interval=0.0)
-        with pytest.raises(ValueError):
             IngestConfig(max_repairs_per_tick=0)
+        with pytest.raises(ValueError):
+            IngestConfig(repair_backoff_base=-1.0)
+        with pytest.raises(ValueError):
+            IngestConfig(repair_backoff_base=1.0, repair_backoff_max=0.5)
+
+    def test_ingest_config_fields(self):
+        assert [field.name for field in dataclasses.fields(IngestConfig)] == [
+            "max_repairs_per_tick", "default_quota", "repair_backoff_base",
+            "repair_backoff_max"]
+
+    def test_removed_knobs_are_rejected(self):
+        """The scheduler wakes on work, so its polling interval is gone,
+        not ignored; so is the ``drain`` alias of ``flush``
+        (docs/MIGRATION.md, "Ingest scheduler")."""
+        with pytest.raises(TypeError):
+            IngestConfig(tick_interval=0.05)
+        assert not hasattr(IngestFront, "drain")
 
 
 class TestSubmitAck:
@@ -417,6 +436,203 @@ class TestIngestFront:
                 assert service.pool_stats["leases"] >= 1
 
 
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.002)
+
+
+class _RecordingEvent(threading.Event):
+    """A wake-up event that records the timeout of every wait."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.timeouts: list = []
+
+    def wait(self, timeout=None):
+        self.timeouts.append(timeout)
+        return super().wait(timeout)
+
+
+def _passed(front):
+    """Whether the started front has run its first pass."""
+    return front.stats()["ticks"] >= 1
+
+
+def _repairs(front):
+    return front.stats()["tenants"]["kg"]["repairs"]
+
+
+class TestWakeOnWork:
+    """The background thread runs a pass only when there is work: a
+    submit, a registration, a commit by any caller, a closing backoff
+    window, or a stop."""
+
+    def test_idle_front_runs_no_pass_and_no_timed_wait(self, served):
+        _, front = served
+        wake = _RecordingEvent()
+        wake.set()  # carries the registration's wake-up over
+        front._wake = wake
+        front.start()
+        _wait_until(lambda: _passed(front))
+        ticks = front.stats()["ticks"]
+        time.sleep(0.35)
+        assert front.stats()["ticks"] == ticks == 1
+        assert wake.timeouts and all(t is None for t in wake.timeouts)
+
+    def test_edits_queued_during_a_commit_form_the_next_commit(
+            self, served, monkeypatch):
+        service, front = served
+        session = service.sessions.get("kg")
+        original = session.apply_many
+        batches: list[int] = []
+        entered, release = threading.Event(), threading.Event()
+
+        def held(edits):
+            batches.append(len(edits))
+            if len(batches) == 1:
+                entered.set()
+                assert release.wait(5.0)
+            return original(edits)
+
+        monkeypatch.setattr(session, "apply_many", held)
+        node = _first_node(service, "kg")
+        front.start()
+        first = front.submit("kg", _touch(node, "first", 0))
+        assert entered.wait(5.0)
+        later = front.submit_many(
+            "kg", [_touch(node, f"later{i}", i) for i in range(4)])
+        release.set()
+        sequences = {ack.wait(5.0) for ack in later}
+        assert batches == [1, 4]
+        assert len(sequences) == 1 and first.wait(0.0) < sequences.pop()
+        assert front.stats()["tenants"]["kg"]["commits"] == 2
+
+    def test_no_wake_up_is_lost_under_concurrent_producers(self, served):
+        """Closed-loop producers racing the thread's passes: each waits for
+        its edit's commit before the next submit, so a lost wake-up leaves
+        an ack unresolved with nothing left to rescue it."""
+        service, front = served
+        node = _first_node(service, "kg")
+        front.start()
+        sequences: list[int] = []
+        errors: list[BaseException] = []
+        lock = threading.Lock()
+
+        def produce(worker):
+            try:
+                for i in range(25):
+                    ack = front.submit("kg", _touch(node, f"w{worker}_{i}", i))
+                    sequence = ack.wait(10.0)
+                    with lock:
+                        sequences.append(sequence)
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=produce, args=(w,))
+                       for w in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and len(sequences) == 100
+        front.wait_for_repair("kg", max(sequences), timeout=5.0)
+        assert front.stats()["tenants"]["kg"]["committed"] == 100
+
+    def test_commit_during_an_idle_pass_is_not_lost(self, served,
+                                                    monkeypatch):
+        """A commit published while an idle pass runs, after its repair
+        phase looked, is repaired by the next pass: the wake-up is cleared
+        before a pass, never after."""
+        service, front = served
+        front.start()
+        _wait_until(lambda: _passed(front))
+        original = front._fire_repair_waiters
+        injected: list[int] = []
+
+        def inject(*args, **kwargs):
+            if not injected:
+                service.apply("kg", _touch(_first_node(service, "kg"),
+                                           "mid_pass", 1))
+                injected.append(service.sessions.get("kg").last_sequence)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(front, "_fire_repair_waiters", inject)
+        front._wake.set()  # one idle pass, which makes the commit mid-pass
+        _wait_until(lambda: bool(injected))
+        front.wait_for_repair("kg", injected[0], timeout=5.0)
+
+    def test_stop_returns_promptly_from_an_idle_wait(self, served):
+        _, front = served
+        front.start()
+        _wait_until(lambda: _passed(front))
+        thread = front._thread
+        started = time.monotonic()
+        front.stop()
+        assert time.monotonic() - started < 1.0
+        assert not thread.is_alive() and not front.running
+
+    def test_failed_repair_is_retried_when_its_backoff_closes(
+            self, small_kg_workload, monkeypatch):
+        with GraphRepairService(inline_pool=True) as service:
+            service.serve("kg", small_kg_workload.dirty.copy(name="kg"),
+                          small_kg_workload.rules)
+            original = service.repair
+            calls = []
+
+            def flaky(name):
+                calls.append(time.monotonic())
+                if len(calls) == 1:
+                    raise RuntimeError("transient")
+                return original(name)
+
+            monkeypatch.setattr(service, "repair", flaky)
+            config = IngestConfig(repair_backoff_base=0.05)
+            with IngestFront(service, config) as front:
+                front.register("kg")
+                ack = front.submit("kg", _touch(_first_node(service, "kg"),
+                                                "x", 1))
+                front.start()
+                front.wait_for_repair("kg", ack.wait(5.0), timeout=5.0)
+                # the waiter fires inside the repair, before it is counted
+                _wait_until(lambda: _repairs(front) == 1)
+                stats = front.stats()["tenants"]["kg"]
+                assert stats["submitted"] == 1 and stats["backoffs"] == 1
+                assert len(calls) == 2
+                # the window opens when the pass starts, just before the
+                # first call, and the retry waits for it to close
+                assert calls[1] - calls[0] >= 0.04
+
+    def test_direct_commit_to_a_registered_tenant_gets_repaired(self,
+                                                                served):
+        service, front = served
+        front.start()
+        _wait_until(lambda: _passed(front))
+        service.apply("kg", _touch(_first_node(service, "kg"), "direct", 1))
+        sequence = service.sessions.get("kg").last_sequence
+        front.wait_for_repair("kg", sequence, timeout=5.0)
+        _wait_until(lambda: _repairs(front) == 1)
+        assert front.stats()["tenants"]["kg"]["submitted"] == 0
+
+    def test_deregister_and_close_remove_the_commit_hook(self, served):
+        service, front = served
+        session = service.sessions.get("kg")
+        hooks = len(session._feed_subscribers)
+        front.deregister("kg")
+        assert len(session._feed_subscribers) == hooks - 1
+        front.register("kg")
+        front.close()
+        assert len(session._feed_subscribers) == hooks - 1
+
+
 class TestStalenessAccounting:
     def test_pending_deltas_track_unrepaired_commits(self, served):
         service, front = served
@@ -580,3 +796,94 @@ class TestApplyMany:
                            config=RepairConfig.fast()) as session:
             with pytest.raises(ValueError):
                 session.apply_many([])
+
+
+#: what a drawn edit can create: kg labels, names that collide on purpose
+#: (duplicate persons), and every edge label the kg rules read
+_NODE_LABELS = ("Person", "City", "Country", "Organization")
+_EDGE_LABELS = ("bornIn", "inCountry", "nationality", "livesIn",
+                "capitalOf", "headquarteredIn", "basedIn", "worksFor")
+_NAMES = ("Ada", "Bob", "City-0", "Country-0")
+_EDIT_KINDS = ("add_node", "remove_node", "update_node",
+               "add_edge", "remove_edge", "update_edge")
+
+
+def _stream_edit(kind, a, b, c):
+    """One drawn edit.  It picks its targets in the graph it is applied
+    to, so a stream applies cleanly whatever earlier edits and repairs
+    left behind, and two graphs that are exactly equal stay so."""
+    def edit(graph):
+        nodes = sorted(graph.node_ids())
+        edges = sorted(graph.edge_ids())
+        if kind == "add_node":
+            graph.add_node(_NODE_LABELS[a % len(_NODE_LABELS)],
+                           {"name": _NAMES[b % len(_NAMES)]})
+        elif kind == "remove_node" and nodes:
+            graph.remove_node(nodes[a % len(nodes)])
+        elif kind == "update_node" and nodes:
+            graph.update_node(nodes[a % len(nodes)],
+                              {"name": _NAMES[b % len(_NAMES)]})
+        elif kind == "add_edge" and nodes:
+            graph.add_edge(nodes[a % len(nodes)], nodes[b % len(nodes)],
+                           _EDGE_LABELS[c % len(_EDGE_LABELS)],
+                           {"confidence": (c % 4 + 1) / 4})
+        elif kind == "remove_edge" and edges:
+            graph.remove_edge(edges[a % len(edges)])
+        elif kind == "update_edge" and edges:
+            graph.update_edge(edges[a % len(edges)],
+                              {"confidence": (b % 4 + 1) / 4})
+    return edit
+
+
+@st.composite
+def _batched_streams(draw):
+    """An edit stream, a partition of it into batches, and for each batch
+    whether a repair follows it."""
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(_EDIT_KINDS), st.integers(0, 999),
+                  st.integers(0, 999), st.integers(0, 7)),
+        min_size=1, max_size=12))
+    cuts = draw(st.sets(st.integers(1, len(specs) - 1))) \
+        if len(specs) > 1 else set()
+    bounds = [0, *sorted(cuts), len(specs)]
+    batches = [specs[start:end] for start, end in zip(bounds, bounds[1:])]
+    repairs = draw(st.lists(st.booleans(), min_size=len(batches),
+                            max_size=len(batches)))
+    return list(zip(batches, repairs))
+
+
+class TestCoalescingIsInvisible:
+    @given(stream=_batched_streams())
+    @settings(max_examples=25, deadline=None)
+    def test_front_equals_one_edit_at_a_time(self, small_kg_workload,
+                                             stream):
+        """Coalesced commits through the front leave the graph exactly as
+        a bare session that commits the same edits one at a time and
+        repairs at the same batch boundaries; the changefeed replays it."""
+        rules = small_kg_workload.rules
+        reference = small_kg_workload.dirty.copy(name="kg")
+        with RepairSession(reference, rules) as session:
+            session.repair()
+            for batch, repair in stream:
+                for spec in batch:
+                    session.apply(_stream_edit(*spec))
+                if repair:
+                    session.repair()
+        opening = small_kg_workload.dirty.copy(name="kg")
+        with GraphRepairService(inline_pool=True) as service:
+            service.serve("kg", opening.copy(name="kg"), rules)
+            service.repair("kg")
+            with IngestFront(service) as front:
+                front.register("kg")
+                for batch, repair in stream:
+                    front.submit_many(
+                        "kg", [_stream_edit(*spec) for spec in batch])
+                    if repair:
+                        assert front.tick()["commits"] == 1
+                    else:
+                        assert front.flush("kg") == len(batch)
+            live = service.sessions.get("kg").graph
+            assert exactly_equal(live, reference)
+            for record in service.deltas("kg"):
+                record.replay_onto(opening)
+            assert exactly_equal(opening, live)

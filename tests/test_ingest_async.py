@@ -27,7 +27,6 @@ from repro import telemetry
 from repro.exceptions import AdmissionError
 from repro.ingest import (
     AsyncRepairService,
-    IngestConfig,
     IngestFront,
     TenantQuota,
 )
@@ -127,8 +126,7 @@ class TestAsyncEquivalence:
         with GraphRepairService(inline_pool=True) as service:
             _serve_two_domains(service, small_kg_workload,
                                small_movie_workload)
-            config = IngestConfig(tick_interval=0.002)
-            with IngestFront(service, config) as front:
+            with IngestFront(service) as front:
                 front.register("kg", TenantQuota(max_pending=512))
                 front.register("movies", TenantQuota(max_pending=512))
                 front.start()
@@ -166,8 +164,7 @@ class TestAsyncReadYourWrites:
         with GraphRepairService(inline_pool=True) as service:
             service.serve("kg", small_kg_workload.dirty.copy(name="kg"),
                           small_kg_workload.rules)
-            with IngestFront(service,
-                             IngestConfig(tick_interval=0.002)) as front:
+            with IngestFront(service) as front:
                 front.register("kg")
                 front.start()
                 aio = AsyncRepairService(front)
@@ -213,8 +210,7 @@ class TestAsyncAdmission:
         with GraphRepairService(inline_pool=True) as service:
             _serve_two_domains(service, small_kg_workload,
                                small_movie_workload)
-            config = IngestConfig(tick_interval=0.01)
-            with IngestFront(service, config) as front:
+            with IngestFront(service) as front:
                 front.register("kg", TenantQuota(max_pending=4,
                                                  policy="reject"))
                 front.register("movies", TenantQuota(max_pending=256))
@@ -283,8 +279,7 @@ class TestAsyncAdmission:
         with GraphRepairService(inline_pool=True) as service:
             service.serve("kg", small_kg_workload.dirty.copy(name="kg"),
                           small_kg_workload.rules)
-            config = IngestConfig(tick_interval=0.002)
-            with IngestFront(service, config) as front:
+            with IngestFront(service) as front:
                 front.register("kg", TenantQuota(max_pending=4096))
                 front.start()
                 aio = AsyncRepairService(front)

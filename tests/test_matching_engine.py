@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.exceptions import MatchingError
 from repro.graph import PropertyGraph
 from repro.matching import (
@@ -230,6 +231,34 @@ class TestMatcherConfigurations:
             assert matcher.count(born_in_pattern, limit=2) == 2
             assert matcher.find_one(born_in_pattern) is not None
             assert matcher.exists(born_in_pattern)
+
+    def test_each_query_observes_its_phase(self, tiny_kg, born_in_pattern):
+        with telemetry.collecting() as (registry, _tracer):
+            with Matcher(tiny_kg) as matcher:
+                matcher.find_matches(born_in_pattern)
+                matcher.find_one(born_in_pattern)
+                matcher.exists(born_in_pattern)
+                matcher.count(born_in_pattern)
+        observed = registry.snapshot().get("repro_match_seconds").histograms
+        assert sorted(observed) == [("count",), ("exists",),
+                                    ("find-matches",), ("find-one",)]
+        assert all(count == 1 for _, _, count in observed.values())
+
+    def test_disabled_telemetry_times_nothing(self, tiny_kg, born_in_pattern,
+                                              monkeypatch):
+        import repro.matching.matcher as facade
+
+        class NoClock:
+            def perf_counter(self):
+                raise AssertionError("timed with telemetry off")
+
+        monkeypatch.setattr(facade, "time", NoClock())
+        assert not telemetry.TELEMETRY.enabled
+        with Matcher(tiny_kg) as matcher:
+            assert len(matcher.find_matches(born_in_pattern)) == 4
+            assert matcher.find_one(born_in_pattern) is not None
+            assert matcher.exists(born_in_pattern)
+            assert matcher.count(born_in_pattern) == 4
 
     def test_context_manager_detaches_index(self, tiny_kg, born_in_pattern):
         with Matcher(tiny_kg, MatcherConfig.optimized()) as matcher:
