@@ -85,7 +85,7 @@ def _measure_domain(domain: str) -> dict:
     scale = SCALES[domain]
     workload = build_workload(domain, scale=scale, error_rate=0.05, seed=0)
 
-    matcher = Matcher(workload.dirty, MatcherConfig.optimized(), maintain_index=False)
+    matcher = Matcher(workload.dirty, MatcherConfig.optimized())
     started = time.perf_counter()
     matches = sum(len(matcher.find_matches(rule.pattern)) for rule in workload.rules)
     match_seconds = time.perf_counter() - started
@@ -268,8 +268,7 @@ def _measure_planner(domain: str) -> dict:
     results = {}
     for flag in (True, False):
         matcher = Matcher(
-            graph, replace(MatcherConfig.optimized(), use_cost_planner=flag),
-            maintain_index=False)
+            graph, replace(MatcherConfig.optimized(), use_cost_planner=flag))
         started = time.perf_counter()
         keys = set()
         for rule in workload.rules:

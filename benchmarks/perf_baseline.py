@@ -190,7 +190,7 @@ def measure_domain(domain: str, scale: int, error_rate: float, seed: int,
     workload = build_workload(domain, scale=scale, error_rate=error_rate, seed=seed)
 
     def run_matching():
-        matcher = Matcher(workload.dirty, MatcherConfig.optimized(), maintain_index=False)
+        matcher = Matcher(workload.dirty, MatcherConfig.optimized())
         found = sum(len(matcher.find_matches(rule.pattern)) for rule in workload.rules)
         matcher.close()
         return found
@@ -704,8 +704,7 @@ def measure_scale(mode: str, error_rate: float, seed: int) -> dict[str, Any]:
     workload = build_workload(SHARDED_DOMAIN, scale=scale,
                               error_rate=error_rate, seed=seed)
 
-    matcher = Matcher(workload.dirty, MatcherConfig.optimized(),
-                      maintain_index=False)
+    matcher = Matcher(workload.dirty, MatcherConfig.optimized())
     started = time.perf_counter()
     matches = sum(len(matcher.find_matches(rule.pattern))
                   for rule in workload.rules)

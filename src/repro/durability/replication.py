@@ -396,9 +396,9 @@ class ReadReplica:
     # ------------------------------------------------------------------
 
     def matcher(self) -> Matcher:
-        """A fresh optimised matcher over the replica graph."""
-        return Matcher(self.graph, MatcherConfig.optimized(),
-                       maintain_index=False)
+        """A fresh optimised matcher over the replica graph (the caller
+        closes it)."""
+        return Matcher(self.graph, MatcherConfig.optimized())
 
     def find_matches(self, pattern) -> list:
         with_matcher = self.matcher()

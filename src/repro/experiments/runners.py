@@ -281,7 +281,7 @@ def run_e7_pattern_size(pattern_sizes: Sequence[int] | None = None,
     for size in pattern_sizes:
         pattern = _movie_pattern_of_size(size)
         for variant_name in variant_names:
-            matcher = Matcher(graph, MATCHER_VARIANTS[variant_name], maintain_index=False)
+            matcher = Matcher(graph, MATCHER_VARIANTS[variant_name])
             started = time.perf_counter()
             matches = matcher.find_matches(pattern)
             elapsed = time.perf_counter() - started

@@ -226,6 +226,29 @@ class PropertyGraph:
         :attr:`edge_store`)."""
         return self._nodes
 
+    @property
+    def label_buckets(self) -> Mapping[Label, set[NodeId]]:
+        """The live node label -> node-id set map (read-only contract, see
+        :attr:`edge_store`).  The candidate index reads its label buckets
+        here instead of keeping a copy."""
+        return self._nodes_by_label
+
+    @property
+    def adjacency(self) -> tuple[Mapping[NodeId, dict[EdgeId, None]],
+                                 Mapping[NodeId, dict[EdgeId, None]]]:
+        """The live ``(outgoing, incoming)`` node-id -> edge-id maps
+        (read-only contract, see :attr:`edge_store`)."""
+        return self._out_edges, self._in_edges
+
+    @property
+    def label_adjacency(self) -> tuple[Mapping[tuple[NodeId, Label], dict[EdgeId, None]],
+                                       Mapping[tuple[NodeId, Label], dict[EdgeId, None]]]:
+        """The live ``(outgoing, incoming)`` per-label adjacency maps,
+        ``(node id, edge label) -> edge ids`` with no empty buckets
+        (read-only contract, see :attr:`edge_store`).  A node's per-label
+        degree is the size of its bucket."""
+        return self._out_by_label, self._in_by_label
+
     def out_edge_ids(self, node_id: NodeId):
         """Zero-copy view of the outgoing edge ids of ``node_id``.
 

@@ -1,7 +1,7 @@
 """Candidate index: label, signature, and property-value buckets for pruning.
 
 Subgraph matching cost is dominated by how many data nodes are tried per
-pattern variable.  The :class:`CandidateIndex` keeps, per node:
+pattern variable.  The :class:`CandidateIndex` answers, per node:
 
 * the node-label bucket it belongs to,
 * its *neighbourhood signature* — how many outgoing / incoming edges it has
@@ -15,8 +15,11 @@ whose signature dominates the variable's local requirements (e.g. a
 variable with two outgoing ``actedIn`` pattern edges can only bind nodes with
 at least two outgoing ``actedIn`` data edges), and — when the variable carries
 an equality constraint whose right-hand side is known — whose property value
-sits in the matching bucket.  The index is maintained incrementally from the
-graph's change feed, which is what lets the fast repairer keep using it
+sits in the matching bucket.  Label buckets and signatures are read live from
+the graph's own label index and per-label adjacency, which the graph keeps
+exact under every mutation, so the index copies none of them.  Only the value
+buckets are the index's own: they are maintained incrementally from the
+graph's change feed, which is what lets the fast repairer keep using them
 across thousands of repairs without rebuilding.
 
 Value buckets are *complete, not exact*: a bucket is guaranteed to contain
@@ -366,17 +369,27 @@ class _ValueIndex:
 
 
 class CandidateIndex:
-    """Per-label node buckets plus per-node edge-label signatures."""
+    """Pruning queries over one graph: label buckets and edge-label
+    signatures read live from the graph, plus the index's own value, sorted
+    and shared buckets.
+
+    What the graph already keeps exact is never copied: a label bucket is
+    the graph's label-index set, a node's per-label degree is the size of
+    its per-label adjacency bucket, and its total degree the size of its
+    adjacency dict.  The index owns only what the graph lacks — the value
+    buckets (with their sorted arrays and ``shared`` sets), the per-pattern
+    pushdown specs, the meeting-count cache, and the ``version`` counter —
+    and keeps it current from the graph's change feed once :meth:`attach`
+    subscribes it.
+    """
 
     def __init__(self, graph: PropertyGraph) -> None:
         self._graph = graph
-        self._by_label: dict[str, set[str]] = {}
-        self._out_signature: dict[str, Counter] = {}
-        self._in_signature: dict[str, Counter] = {}
-        # cached total degrees so wildcard (None-label) requirements never
-        # re-sum the signature counters per probe
-        self._out_total: dict[str, int] = {}
-        self._in_total: dict[str, int] = {}
+        # live, read-only views of the graph's own structure
+        self._nodes = graph.node_store
+        self._by_label = graph.label_buckets
+        self._out_edges, self._in_edges = graph.adjacency
+        self._out_by_label, self._in_by_label = graph.label_adjacency
         # (node label, outgoing?, edge label, k) -> nodes with >= k such
         # edges, counted on demand and valid for _meeting_version only
         self._meeting_cache: dict[tuple[str, bool, str, int], int] = {}
@@ -396,31 +409,15 @@ class CandidateIndex:
         # bumped on every mutation; the cost planner uses it to skip
         # re-estimating plans while the graph is unchanged
         self.version = 0
-        self.rebuild()
 
     # ------------------------------------------------------------------
     # construction / maintenance
     # ------------------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Recompute the whole index from the graph (O(|V| + |E|))."""
+        """Recompute every registered value index from the graph
+        (O(registered pairs × label buckets))."""
         self.version += 1
-        self._by_label = {}
-        self._out_signature = {}
-        self._in_signature = {}
-        self._out_total = {}
-        self._in_total = {}
-        for node in self._graph.nodes():
-            self._by_label.setdefault(node.label, set()).add(node.id)
-            self._out_signature[node.id] = Counter()
-            self._in_signature[node.id] = Counter()
-            self._out_total[node.id] = 0
-            self._in_total[node.id] = 0
-        for edge in self._graph.edges():
-            self._out_signature[edge.source][edge.label] += 1
-            self._in_signature[edge.target][edge.label] += 1
-            self._out_total[edge.source] += 1
-            self._in_total[edge.target] += 1
         for (label, key) in list(self._value_indexes):
             rebuilt = self._build_value_index(label, key)
             if (label, key) in self._sorted_pairs:
@@ -439,56 +436,22 @@ class CandidateIndex:
             self._attached = False
 
     def apply_change(self, change: GraphChange) -> None:
-        """Update the index for one elementary graph change.
+        """Update the value buckets for one elementary graph change.
 
-        Changes that restructure more than a constant amount of state
-        (node removal with incident edges, node merges) fall back to
-        re-deriving the affected nodes' signatures from the graph, which the
-        graph can answer in time proportional to their degree.
+        Every change bumps :attr:`version`.  Edge changes touch no value
+        bucket: the structure they move is read live from the graph.
         """
         self.version += 1
         kind = change.kind
         if kind is ChangeKind.ADD_NODE and change.node_id is not None:
             node = self._graph.node(change.node_id)
-            self._by_label.setdefault(node.label, set()).add(node.id)
-            self._out_signature.setdefault(node.id, Counter())
-            self._in_signature.setdefault(node.id, Counter())
-            self._out_total.setdefault(node.id, 0)
-            self._in_total.setdefault(node.id, 0)
             self._value_insert(node.label, node.properties, node.id)
-        elif kind is ChangeKind.ADD_EDGE and change.edge_id is not None:
-            edge = self._graph.edge(change.edge_id)
-            self._out_signature.setdefault(edge.source, Counter())[edge.label] += 1
-            self._in_signature.setdefault(edge.target, Counter())[edge.label] += 1
-            self._out_total[edge.source] = self._out_total.get(edge.source, 0) + 1
-            self._in_total[edge.target] = self._in_total.get(edge.target, 0) + 1
-        elif kind is ChangeKind.REMOVE_EDGE:
-            label = change.details.get("label")
-            source = change.details.get("source")
-            target = change.details.get("target")
-            if source in self._out_signature and label is not None:
-                self._decrement(self._out_signature[source], label)
-                self._out_total[source] = max(0, self._out_total.get(source, 0) - 1)
-            if target in self._in_signature and label is not None:
-                self._decrement(self._in_signature[target], label)
-                self._in_total[target] = max(0, self._in_total.get(target, 0) - 1)
         elif kind is ChangeKind.REMOVE_NODE and change.node_id is not None:
-            removed_label = change.details.get("label")
-            self._drop_node(change.node_id, removed_label)
-            self._value_discard(removed_label, change.details.get("properties"),
-                                change.node_id)
-            self._refresh_nodes(change.touched_nodes)
+            self._value_discard(change.details.get("label"),
+                                change.details.get("properties"), change.node_id)
         elif kind is ChangeKind.RELABEL_NODE and change.node_id is not None:
             before = change.details.get("before")
             after = change.details.get("after")
-            if before is not None:
-                bucket = self._by_label.get(before)
-                if bucket is not None:
-                    bucket.discard(change.node_id)
-                    if not bucket:
-                        del self._by_label[before]
-            if after is not None:
-                self._by_label.setdefault(after, set()).add(change.node_id)
             # Value buckets are label-scoped: move the node's entries from the
             # old label's indexes to the new label's (the None-label indexes
             # are unaffected — the node's values did not change).
@@ -512,15 +475,10 @@ class CandidateIndex:
                         index.discard(before[key], change.node_id)
                     if key in after:
                         index.add(after[key], change.node_id)
-        elif kind is ChangeKind.RELABEL_EDGE and change.edge_id is not None:
-            # Endpoint signatures change label buckets; refresh both endpoints.
-            self._refresh_nodes(change.touched_nodes)
         elif kind is ChangeKind.MERGE_NODES:
             merged = change.details.get("merged")
-            merged_label = change.details.get("merged_label")
             if merged is not None:
-                self._drop_node(merged, merged_label)
-                self._value_discard(merged_label,
+                self._value_discard(change.details.get("merged_label"),
                                     change.details.get("merged_properties"),
                                     merged)
             keep_id = change.node_id
@@ -532,65 +490,6 @@ class CandidateIndex:
                 self._value_insert(keep_label,
                                    change.details.get("keep_properties_after") or {},
                                    keep_id)
-            self._refresh_nodes(change.touched_nodes)
-        # UPDATE_EDGE does not affect labels, signatures, or value buckets.
-
-    def _drop_node(self, node_id: str, label: str | None) -> None:
-        if label is not None:
-            bucket = self._by_label.get(label)
-            if bucket is not None:
-                bucket.discard(node_id)
-                if not bucket:
-                    del self._by_label[label]
-        else:
-            for bucket in self._by_label.values():
-                bucket.discard(node_id)
-        self._out_signature.pop(node_id, None)
-        self._in_signature.pop(node_id, None)
-        self._out_total.pop(node_id, None)
-        self._in_total.pop(node_id, None)
-
-    def _refresh_nodes(self, node_ids: Iterable[str]) -> None:
-        for node_id in node_ids:
-            if not self._graph.has_node(node_id):
-                continue
-            out_counter: Counter = Counter()
-            out_total = 0
-            for edge in self._graph.iter_out_edges(node_id):
-                out_counter[edge.label] += 1
-                out_total += 1
-            in_counter: Counter = Counter()
-            in_total = 0
-            for edge in self._graph.iter_in_edges(node_id):
-                in_counter[edge.label] += 1
-                in_total += 1
-            self._out_signature[node_id] = out_counter
-            self._in_signature[node_id] = in_counter
-            self._out_total[node_id] = out_total
-            self._in_total[node_id] = in_total
-
-    @staticmethod
-    def _decrement(counter: Counter, key: str) -> None:
-        counter[key] -= 1
-        if counter[key] <= 0:
-            del counter[key]
-
-    def check_degree_integrity(self) -> bool:
-        """Verify the per-node signatures and degree totals exactly match a
-        recount from the graph (test/debug helper, the signature-side
-        mirror of :meth:`check_value_integrity`)."""
-        graph = self._graph
-        if len(self._out_signature) != graph.num_nodes:
-            return False
-        for node in graph.nodes():
-            out_recount = Counter(edge.label for edge in graph.iter_out_edges(node.id))
-            in_recount = Counter(edge.label for edge in graph.iter_in_edges(node.id))
-            if (self._out_signature.get(node.id) != out_recount
-                    or self._in_signature.get(node.id) != in_recount
-                    or self._out_total.get(node.id) != out_recount.total()
-                    or self._in_total.get(node.id) != in_recount.total()):
-                return False
-        return True
 
     def _nodes_meeting(self, node_label: str, outgoing: bool, label: str,
                        required: int) -> int:
@@ -603,9 +502,9 @@ class CandidateIndex:
         key = (node_label, outgoing, label, required)
         count = self._meeting_cache.get(key)
         if count is None:
-            signatures = self._out_signature if outgoing else self._in_signature
+            by_label = self._out_by_label if outgoing else self._in_by_label
             count = sum(1 for node_id in self.label_bucket(node_label)
-                        if signatures[node_id][label] >= required)
+                        if len(by_label.get((node_id, label), ())) >= required)
             self._meeting_cache[key] = count
         return count
 
@@ -638,13 +537,9 @@ class CandidateIndex:
 
     def _build_value_index(self, label: str | None, key: str) -> _ValueIndex:
         index = _ValueIndex()
-        graph = self._graph
-        if label is None:
-            pool = self._out_signature.keys()
-        else:
-            pool = self._by_label.get(label, _EMPTY_BUCKET)
-        for node_id in pool:
-            properties = graph.node(node_id).properties
+        nodes = self._nodes
+        for node_id in self.label_bucket(label):
+            properties = nodes[node_id].properties
             if key in properties:
                 index.add(properties[key], node_id)
         return index
@@ -823,51 +718,47 @@ class CandidateIndex:
     def nodes_with_label(self, label: str | None) -> set[str]:
         """Node ids with the given label (a fresh, caller-owned set);
         ``None`` means all nodes."""
-        if label is None:
-            return set(self._out_signature.keys())
-        return set(self._by_label.get(label, set()))
+        return set(self.label_bucket(label))
 
     def label_bucket(self, label: str | None):
         """Zero-copy view of the node ids with ``label`` (``None`` = all nodes).
 
-        The returned collection is the live internal bucket: it must not be
-        mutated and is invalidated by graph mutations.  Hot-path counterpart of
-        :meth:`nodes_with_label`.
+        The returned collection is the graph's live label-index set: it must
+        not be mutated and is invalidated by graph mutations.  Hot-path
+        counterpart of :meth:`nodes_with_label`.
         """
         if label is None:
-            return self._out_signature.keys()
+            return self._nodes.keys()
         return self._by_label.get(label, _EMPTY_BUCKET)
 
     def label_count(self, label: str | None) -> int:
-        if label is None:
-            return len(self._out_signature)
-        return len(self._by_label.get(label, ()))
-
-    def total_degree(self, node_id: str) -> tuple[int, int]:
-        """Cached (out, in) total degree of a node (0, 0 if unknown)."""
-        return self._out_total.get(node_id, 0), self._in_total.get(node_id, 0)
+        return len(self.label_bucket(label))
 
     def signature_dominates(self, node_id: str, out_required: Counter,
                             in_required: Counter) -> bool:
         """True if the node has at least the required per-label out/in edges.
 
-        Wildcard (``None``-label) requirements compare against the cached
-        total degree instead of re-summing the signature per probe.
+        A labelled requirement reads the size of the node's per-label
+        adjacency bucket; a wildcard (``None``-label) one its total degree.
+        Unknown nodes dominate nothing.
         """
-        out_signature = self._out_signature.get(node_id)
-        in_signature = self._in_signature.get(node_id)
-        if out_signature is None or in_signature is None:
+        out_edges = self._out_edges.get(node_id)
+        if out_edges is None:
             return False
+        by_label = self._out_by_label
         for label, required in out_required.items():
-            available = (self._out_total.get(node_id, 0) if label is None
-                         else out_signature.get(label, 0))
+            available = (len(out_edges) if label is None
+                         else len(by_label.get((node_id, label), ())))
             if available < required:
                 return False
-        for label, required in in_required.items():
-            available = (self._in_total.get(node_id, 0) if label is None
-                         else in_signature.get(label, 0))
-            if available < required:
-                return False
+        if in_required:
+            in_edges = self._in_edges[node_id]
+            by_label = self._in_by_label
+            for label, required in in_required.items():
+                available = (len(in_edges) if label is None
+                             else len(by_label.get((node_id, label), ())))
+                if available < required:
+                    return False
         return True
 
     def candidates(self, pattern: Pattern, variable: str,

@@ -50,11 +50,16 @@ class MatcherConfig:
 
 @dataclass
 class Matcher:
-    """Pattern matching against one graph with a fixed configuration."""
+    """Pattern matching against one graph with a fixed configuration.
+
+    The candidate index (when configured) is attached to the graph's change
+    feed for the matcher's lifetime and detached by :meth:`close`: it reads
+    label buckets and signatures live from the graph, so its value buckets
+    must follow every mutation too.
+    """
 
     graph: PropertyGraph
     config: MatcherConfig = field(default_factory=MatcherConfig)
-    maintain_index: bool = True
     stats: MatchingStats = field(default_factory=MatchingStats)
     _index: CandidateIndex | None = field(default=None, repr=False)
     # One engine for the matcher's lifetime: compiled per-pattern search
@@ -64,8 +69,7 @@ class Matcher:
     def __post_init__(self) -> None:
         if self.config.use_candidate_index:
             self._index = CandidateIndex(self.graph)
-            if self.maintain_index:
-                self._index.attach()
+            self._index.attach()
         engine = VF2Matcher(graph=self.graph, candidate_index=self._index,
                             use_decomposition=self.config.use_decomposition,
                             use_cost_planner=self.config.use_cost_planner)

@@ -15,6 +15,13 @@ Hot-path design (this is the inner loop of every repair run):
   the node-only comparison list — is compiled once per matcher instance and
   cached, so seeded searches repeated thousands of times during incremental
   maintenance pay none of it again;
+* each (pattern, order, seeded set) is compiled once into a **step table**
+  (:func:`_compile_steps`), stored with its plan so a replan replaces it:
+  per step, the variable and its pattern node, its join edges to variables
+  already bound, the edges each candidate re-checks, and the node-only
+  comparisons that become fully bound there.  The search walks the table and
+  works out none of these facts per candidate; at the last step of a pattern
+  without edge variables or comparisons it builds each match in place;
 * join candidates are derived by iterating the *smallest* adjacency list of
   the bound neighbours and letting the constraint check filter the rest,
   instead of materialising and intersecting full witness sets;
@@ -63,7 +70,7 @@ Three knobs matter for the experiments:
 * ``use_cost_planner`` — with the planner (and an index), the static
   decomposition order is replaced per (pattern, seeded set) by a greedy
   connected order driven by live bucket cardinalities, re-planned when the
-  statistics drift (see ``_planned_order``).  Matches are identical either
+  statistics drift (see ``_planned_state``).  Matches are identical either
   way; only the search order — and therefore ``nodes_tried`` — changes.
 """
 
@@ -71,7 +78,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from repro.exceptions import MatchingError
 from repro.graph.property_graph import PropertyGraph
@@ -82,7 +89,7 @@ from repro.matching.index import (
     naive_candidates,
     pattern_requirements,
 )
-from repro.matching.pattern import Match, Pattern, PatternEdge
+from repro.matching.pattern import Match, Pattern, PatternEdge, PatternNode
 from repro.utils.counters import Counters, counter
 
 
@@ -155,13 +162,62 @@ class MatchingStats(Counters):
                 mine[variable] = mine.get(variable, 0) + count
 
 
+class _Step(NamedTuple):
+    """One entry of a compiled step table: everything about binding
+    ``variable`` that is fixed for the whole plan."""
+
+    variable: str
+    pattern_node: PatternNode
+    # pattern edges to variables already bound, in ``touching`` order, as
+    # ``(edge, other variable, outgoing)``; ``outgoing`` when the edge leaves
+    # ``variable``, so candidates are sources of the bound node's in-edges
+    joins: tuple[tuple[PatternEdge, str, bool], ...]
+    # the edges each candidate re-checks, in ``touching`` order: the joins
+    # (the one candidates were derived from is skipped at run time) and
+    # self-loops, whose other variable is None
+    rechecks: tuple[tuple[PatternEdge, str | None, bool], ...]
+    # node-only comparisons whose last variable binds at this step
+    comparisons: tuple
+
+
+def _compile_steps(profile: "_PatternProfile", order: list[str],
+                   seeded: frozenset) -> tuple[_Step, ...]:
+    """The step table of ``order`` when the ``seeded`` variables (at the
+    front of the order) are bound before the search starts."""
+    bound = set(seeded)
+    steps = []
+    for variable in order:
+        if variable in bound:
+            continue
+        joins = []
+        rechecks = []
+        for edge in profile.touching[variable]:
+            outgoing = edge.source == variable
+            other = edge.target if outgoing else edge.source
+            if other == variable:
+                rechecks.append((edge, None, outgoing))
+            elif other in bound:
+                joins.append((edge, other, outgoing))
+                rechecks.append((edge, other, outgoing))
+        bound.add(variable)
+        comparisons = tuple(
+            comparison for comparison, variables
+            in profile.comparisons_by_variable.get(variable, ())
+            if variables <= bound)
+        steps.append(_Step(variable, profile.node_variables[variable],
+                           tuple(joins), tuple(rechecks), comparisons))
+    return tuple(steps)
+
+
 @dataclass
 class _PlanState:
     """One cached cost-based plan: the order chosen for a given seeded
-    variable set, the per-variable estimates it was chosen under (the drift
-    baseline), and the index version it was last validated against."""
+    variable set, its compiled step table, the per-variable estimates it was
+    chosen under (the drift baseline), and the index version it was last
+    validated against."""
 
     order: list[str]
+    steps: tuple[_Step, ...]
     estimates: dict[str, int]
     checked_version: int
 
@@ -181,7 +237,8 @@ class _PatternProfile:
     node_variables: dict[str, object]
     # node-only comparisons (edge-variable comparisons are checked after edge
     # binding) dispatched by variable: a comparison is listed under each of its
-    # variables and evaluated exactly once — when its last variable binds.
+    # variables, and a step table evaluates it exactly once — at the step its
+    # last variable binds.
     comparisons_by_variable: dict[str, tuple[tuple[object, frozenset], ...]]
     edge_constraints: tuple[PatternEdge, ...]
     # constant-equality pushdown specs per variable (empty without an index)
@@ -198,8 +255,13 @@ class _PatternProfile:
     # or None when the pattern declares edge variables: a probe must then
     # bind them by search
     closed: dict[str, object] | None
+    # True when the pattern has neither edge variables nor comparisons: a
+    # complete node assignment is a match as it stands
+    direct: bool
     # cost-planner plan cache: frozenset of seeded variables -> _PlanState
     plans: dict = field(default_factory=dict)
+    # step tables of the static (unplanned) order per seeded-variable set
+    static_steps: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -286,7 +348,7 @@ class VF2Matcher:
         stats = self.stats
         try:
             profile = self._profile(pattern)
-            order = self._variable_order(profile, seed)
+            steps = self._steps(profile, seed)
             assignment: dict[str, str] = {}
             used_nodes: set[str] = set()
 
@@ -309,7 +371,7 @@ class VF2Matcher:
                     return
 
             emitted = 0
-            for match in self._backtrack(profile, order, 0, assignment, used_nodes):
+            for match in self._backtrack(profile, steps, assignment, used_nodes):
                 emitted += 1
                 stats.matches_found += 1
                 yield match
@@ -372,6 +434,7 @@ class VF2Matcher:
             multiplicity={id(edge): len(group) for group in groups
                           if len(group) > 1 for edge in group},
             closed=None if edge_variables else node_variables,
+            direct=not edge_variables and not pattern.comparisons,
         )
         self._profiles[id(pattern)] = profile
         return profile
@@ -387,42 +450,49 @@ class VF2Matcher:
                 return label_count - 5.0 * len(p.edges_touching(variable))
         return build_search_plan(pattern, selectivity=selectivity).order
 
-    def _variable_order(self, profile: _PatternProfile, seed: Mapping[str, str] | None) -> list[str]:
+    def _steps(self, profile: _PatternProfile,
+               seed: Mapping[str, str] | None) -> tuple[_Step, ...]:
+        """The step table for this (pattern, seeded set): the cost-based
+        plan's, or the static order's with the seeded variables first."""
+        seeded = frozenset(seed) if seed else frozenset()
         if (self.use_cost_planner and self.use_decomposition
                 and self.candidate_index is not None):
-            return self._planned_order(profile, seed)
-        order = profile.base_order
-        if not seed:
-            return order
-        seeded = [variable for variable in order if variable in seed]
-        rest = [variable for variable in order if variable not in seed]
-        return seeded + rest
+            return self._planned_state(profile, seeded).steps
+        steps = profile.static_steps.get(seeded)
+        if steps is None:
+            order = profile.base_order
+            order = ([variable for variable in order if variable in seeded]
+                     + [variable for variable in order if variable not in seeded])
+            steps = profile.static_steps[seeded] = _compile_steps(
+                profile, order, seeded)
+        return steps
 
     # ------------------------------------------------------------------
     # cost-based planning
     # ------------------------------------------------------------------
 
-    def _planned_order(self, profile: _PatternProfile, seed: Mapping[str, str] | None) -> list[str]:
-        """The cost-based variable order for this (pattern, seeded set).
+    def _planned_state(self, profile: _PatternProfile,
+                       seeded: frozenset) -> _PlanState:
+        """The cost-based plan for this (pattern, seeded set).
 
         Plans are cached per seeded-variable set and validated against the
         candidate index's version counter: while the graph is unchanged the
         cached order is returned with two dict lookups.  When the version
         moved, the plan's variables are re-estimated (cheap bucket-size
         lookups); only when some estimate drifted past ``_REPLAN_DRIFT`` is
-        the greedy order rebuilt and ``planner_replans`` bumped.
+        the greedy order rebuilt (with its step table) and
+        ``planner_replans`` bumped.
         """
         index = self.candidate_index
-        seeded = frozenset(seed) if seed else frozenset()
         state = profile.plans.get(seeded)
         version = index.version
         if state is not None:
             if state.checked_version == version:
-                return state.order
+                return state
             current = self._order_estimates(profile, state.order, len(seeded))
             if not _estimates_drifted(state.estimates, current):
                 state.checked_version = version
-                return state.order
+                return state
         pattern = profile.pattern
         order, estimates = plan_connected_order(
             pattern, seeded,
@@ -431,10 +501,11 @@ class VF2Matcher:
             self.stats.planner_plans += 1
         else:
             self.stats.planner_replans += 1
-        profile.plans[seeded] = _PlanState(order, estimates, version)
+        state = profile.plans[seeded] = _PlanState(
+            order, _compile_steps(profile, order, seeded), estimates, version)
         self.stats.planner_orders[pattern.name] = list(order)
         self.stats.planner_estimated.setdefault(pattern.name, {}).update(estimates)
-        return order
+        return state
 
     def _order_estimates(self, profile: _PatternProfile, order: list[str],
                          seeded_count: int) -> dict[str, int]:
@@ -500,106 +571,121 @@ class VF2Matcher:
                     return False
         return True
 
-    def _backtrack(self, profile: _PatternProfile, order: list[str], depth: int,
+    def _backtrack(self, profile: _PatternProfile, steps: tuple[_Step, ...],
                    assignment: dict[str, str],
                    used_nodes: set[str]) -> Iterator[Match]:
-        """Depth-first search over the variable order, as an explicit-stack
-        loop.
+        """Depth-first search over the step table, as an explicit-stack loop.
 
         One generator frame drives the whole search (the recursive
         formulation stacked one generator frame per bound variable, and
         every yielded match bubbled through all of them — measured at ~40%
-        of matcher time at E2 scale 800).  Each stack entry is one
-        variable's in-progress candidate iteration:
-        ``[depth, variable, candidate_iterator, derived_from, bound_node]``;
+        of matcher time at E2 scale 800).  Each stack entry is one step's
+        in-progress candidate iteration:
+        ``[depth, step, candidate_iterator, derived_from, bound_node]``;
         advancing a frame binds the next viable candidate and pushes the
-        next variable's frame, exhausting it unbinds and pops.  Candidate
-        derivation, constraint checks, counter semantics, and match order
-        are identical to the recursive version (pinned by the matcher and
-        property-based suites).
+        next step's frame, exhausting it unbinds and pops.  The last step
+        emits each viable candidate's matches without pushing a frame.
+        Candidate derivation, constraint checks, counter semantics, and
+        match order are pinned by the matcher, counter and property-based
+        suites.
         """
-        total = len(order)
+        last = len(steps) - 1
+        if last < 0:
+            yield from self._bind_edge_variables(profile, assignment)
+            return
         stats = self.stats
-        graph_node = self.graph.node
-        node_variables = profile.node_variables
+        nodes = self.graph.node_store
+        has_witness = self._has_witness
+        candidates_for = self._candidates_for
+        pattern = profile.pattern
+        direct = profile.direct
         if (self.use_cost_planner and self.use_decomposition
                 and self.candidate_index is not None):
-            planner_actual = stats.planner_actual.setdefault(
-                profile.pattern.name, {})
+            planner_actual = stats.planner_actual.setdefault(pattern.name, {})
         else:
             planner_actual = None
 
-        def open_frame(depth: int) -> list | None:
-            """A fresh frame for the next unbound variable at/after ``depth``
-            — or ``None`` when every variable is bound (a complete node
-            assignment)."""
-            # Skip over already-seeded variables at the front of the order.
-            while depth < total and order[depth] in assignment:
-                depth += 1
-            if depth == total:
-                return None
-            variable = order[depth]
-            candidates, derived_from = self._candidates_for(profile, variable,
-                                                            assignment)
+        def lookup(name: str) -> Mapping[str, object]:
+            node = nodes.get(assignment.get(name))
+            return node.properties if node is not None else {}
+
+        def open_frame(depth: int) -> list:
+            step = steps[depth]
+            candidates, derived_from = candidates_for(profile, step, assignment)
             if planner_actual is not None:
+                variable = step.variable
                 planner_actual[variable] = (planner_actual.get(variable, 0)
                                             + len(candidates))
-            return [depth, variable, iter(candidates), derived_from, None]
+            return [depth, step, iter(candidates), derived_from, None]
 
-        frame = open_frame(depth)
-        if frame is None:
-            yield from self._bind_edge_variables(profile, assignment)
-            return
-        stack: list[list] = [frame]
+        stack: list[list] = [open_frame(0)]
         while stack:
             frame = stack[-1]
-            _, variable, candidates, derived_from, bound = frame
+            depth, step, candidates, derived_from, bound = frame
+            variable, pattern_node, _joins, rechecks, comparisons = step
             if bound is not None:
                 # back from the subtree under the previous candidate
                 del assignment[variable]
                 used_nodes.discard(bound)
                 frame[4] = None
-            pattern_node = node_variables[variable]
+            leaf = depth == last
             advanced = False
             for node_id in candidates:
                 if node_id in used_nodes:
                     continue
                 stats.nodes_tried += 1
-                if not pattern_node.matches(graph_node(node_id)):
+                if not pattern_node.matches(nodes[node_id]):
                     continue
-                if not self._edges_to_bound_satisfied(profile, variable, node_id,
-                                                      assignment,
-                                                      skip=derived_from):
+                unwitnessed = False
+                for edge, other, outgoing in rechecks:
+                    if edge is derived_from:
+                        continue  # satisfied by construction
+                    if other is None:
+                        source_id = target_id = node_id
+                    elif outgoing:
+                        source_id, target_id = node_id, assignment[other]
+                    else:
+                        source_id, target_id = assignment[other], node_id
+                    if not has_witness(source_id, target_id, edge):
+                        unwitnessed = True
+                        break
+                if unwitnessed:
                     continue
                 assignment[variable] = node_id
                 used_nodes.add(node_id)
-                if not self._node_comparisons_satisfiable(profile, variable,
-                                                          assignment):
+                if comparisons and not all(comparison.evaluate(lookup)
+                                           for comparison in comparisons):
                     stats.backtracks += 1
                     del assignment[variable]
                     used_nodes.discard(node_id)
                     continue
+                if leaf:
+                    # complete node assignment: emit, unbind, try the next
+                    if direct:
+                        yield Match(pattern=pattern, node_bindings=dict(assignment))
+                    else:
+                        yield from self._bind_edge_variables(profile, assignment)
+                    del assignment[variable]
+                    used_nodes.discard(node_id)
+                    continue
                 frame[4] = node_id
-                child = open_frame(frame[0] + 1)
-                if child is None:
-                    # complete node assignment: emit, then resume this frame
-                    yield from self._bind_edge_variables(profile, assignment)
-                else:
-                    stack.append(child)
+                stack.append(open_frame(depth + 1))
                 advanced = True
                 break
             if not advanced:
                 stack.pop()
 
-    def _candidates_for(self, profile: _PatternProfile, variable: str,
+    def _candidates_for(self, profile: _PatternProfile, step: _Step,
                         assignment: dict[str, str]):
-        """Candidates for ``variable`` plus the join edge they were derived from.
+        """Candidates for the step's variable plus the join edge they were
+        derived from.
 
-        If the variable is connected by pattern edges to bound variables, the
-        smallest relevant adjacency list is iterated and the remaining join
-        constraints are enforced by :meth:`_edges_to_bound_satisfied` — no
-        intermediate witness sets are materialised.  Otherwise fall back to
-        the index / full scan (sorted once for a deterministic root order).
+        If the step has join edges, the smallest relevant adjacency list is
+        iterated (the first join wins a tie) and the remaining join
+        constraints are re-checked per candidate by the step's ``rechecks``
+        — no intermediate witness sets are materialised.  Otherwise fall
+        back to the index / full scan (sorted once for a deterministic root
+        order).
 
         Constant-equality pushdown (see the module docstring) intersects the
         variable's value buckets with whichever pool is chosen: buckets act as
@@ -610,31 +696,28 @@ class VF2Matcher:
         comparison checks still run downstream.
         """
         graph = self.graph
+        variable = step.variable
         best_edge: PatternEdge | None = None
         best_ids = None
         best_size = -1
-        best_inbound = False
-        for edge in profile.touching[variable]:
-            other = edge.target if edge.source == variable else edge.source
-            if other == variable or other not in assignment:
-                continue
+        best_outgoing = False
+        for edge, other, outgoing in step.joins:
             bound_id = assignment[other]
             if not graph.has_node(bound_id):
                 return (), None
             # A labelled pattern edge probes the per-label adjacency bucket,
             # so only matching-label edges are ever iterated below.
-            if edge.source == variable:
+            label = edge.label
+            if outgoing:
                 # variable -[label]-> bound : candidates are sources of in-edges
-                edge_ids = (graph.in_edge_ids(bound_id) if edge.label is None
-                            else graph.in_edge_ids_with_label(bound_id, edge.label))
-                inbound = True
+                edge_ids = (graph.in_edge_ids(bound_id) if label is None
+                            else graph.in_edge_ids_with_label(bound_id, label))
             else:
-                edge_ids = (graph.out_edge_ids(bound_id) if edge.label is None
-                            else graph.out_edge_ids_with_label(bound_id, edge.label))
-                inbound = False
+                edge_ids = (graph.out_edge_ids(bound_id) if label is None
+                            else graph.out_edge_ids_with_label(bound_id, label))
             size = len(edge_ids)
             if best_edge is None or size < best_size:
-                best_edge, best_ids, best_size, best_inbound = edge, edge_ids, size, inbound
+                best_edge, best_ids, best_size, best_outgoing = edge, edge_ids, size, outgoing
                 if size == 0:
                     break
 
@@ -656,7 +739,7 @@ class VF2Matcher:
                 witness = edge_store[edge_id]
                 if predicates and not best_edge.matches(witness):
                     continue
-                candidate = witness.source if best_inbound else witness.target
+                candidate = witness.source if best_outgoing else witness.target
                 count = witnessed.get(candidate, 0) + 1
                 witnessed[candidate] = count
                 if count != need:  # listed once, at its need-th witness
@@ -670,7 +753,7 @@ class VF2Matcher:
             # The value bucket is the candidate source: intersect with the
             # other buckets, keep signature-dominance pruning, and sort for a
             # deterministic order.  All join edges (if any) are re-checked by
-            # _edges_to_bound_satisfied, hence derived_from=None.
+            # the step's rechecks, hence derived_from=None.
             index = self.candidate_index
             self.stats.value_bucket_candidates += len(filter_pool)
             required = profile.requirements[variable]
@@ -776,31 +859,6 @@ class VF2Matcher:
                 buckets.append(bucket)
         return buckets
 
-    def _edges_to_bound_satisfied(self, profile: _PatternProfile, variable: str,
-                                  node_id: str, assignment: dict[str, str],
-                                  skip: PatternEdge | None = None) -> bool:
-        """Every pattern edge between ``variable`` and bound variables must be
-        witnessed.  ``skip`` is the join edge candidates were derived from —
-        it is already satisfied by construction."""
-        for edge in profile.touching[variable]:
-            if edge is skip:
-                continue
-            other = edge.target if edge.source == variable else edge.source
-            if other == variable:
-                # self-loop pattern edge
-                if not self._has_witness(node_id, node_id, edge):
-                    return False
-                continue
-            if other not in assignment:
-                continue
-            if edge.source == variable:
-                source_id, target_id = node_id, assignment[other]
-            else:
-                source_id, target_id = assignment[other], node_id
-            if not self._has_witness(source_id, target_id, edge):
-                return False
-        return True
-
     def _has_witness(self, source_id: str, target_id: str, edge: PatternEdge) -> bool:
         """Whether some data edge ``source -> target`` satisfies ``edge``,
         probing the smaller adjacency side and stopping at the first hit.
@@ -831,29 +889,6 @@ class VF2Matcher:
                 if not predicates or edge.matches(witness):
                     return True
         return False
-
-    def _node_comparisons_satisfiable(self, profile: _PatternProfile, variable: str,
-                                      assignment: dict[str, str]) -> bool:
-        """Early-prune on node-only comparisons that became fully bound when
-        ``variable`` was assigned (each comparison is evaluated exactly once,
-        at the depth its last variable binds)."""
-        relevant = profile.comparisons_by_variable.get(variable)
-        if not relevant:
-            return True
-        graph = self.graph
-
-        def lookup(name: str) -> Mapping[str, object]:
-            node_id = assignment.get(name)
-            if node_id is not None and graph.has_node(node_id):
-                return graph.node(node_id).properties
-            return {}
-
-        for comparison, variables in relevant:
-            if not variables.issubset(assignment.keys()):
-                continue  # not fully bound yet; checked when the last variable binds
-            if not comparison.evaluate(lookup):
-                return False
-        return True
 
     def _bind_edge_variables(self, profile: _PatternProfile,
                              assignment: dict[str, str]) -> Iterator[Match]:

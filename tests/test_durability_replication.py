@@ -25,8 +25,7 @@ from graph_oracle import exactly_equal
 
 
 def _match_keys(graph: PropertyGraph, patterns) -> dict[str, list]:
-    with Matcher(graph, MatcherConfig.optimized(),
-                 maintain_index=False) as matcher:
+    with Matcher(graph, MatcherConfig.optimized()) as matcher:
         return {pattern.name: sorted(repr(match.key()) for match in
                                      matcher.find_matches(pattern))
                 for pattern in patterns}

@@ -266,3 +266,20 @@ class TestMatcherConfigurations:
         # after close, further graph mutations must not break anything
         tiny_kg_copy = tiny_kg.copy()
         assert tiny_kg_copy.num_nodes == tiny_kg.num_nodes
+
+    def test_index_is_attached_for_the_matchers_lifetime(self, tiny_kg,
+                                                         born_in_pattern):
+        """The index reads structure live, so its value buckets must follow
+        every mutation: a matcher always attaches its index, close detaches
+        it, and the ``maintain_index`` knob is gone (docs/MIGRATION.md,
+        "Candidate index")."""
+        with pytest.raises(TypeError):
+            Matcher(tiny_kg, MatcherConfig.optimized(), maintain_index=False)
+        graph = tiny_kg.copy()
+        matcher = Matcher(graph, MatcherConfig.optimized())
+        assert matcher.candidate_index.apply_change in graph._listeners
+        person = graph.add_node("Person", {"name": "Zed"})
+        graph.add_edge(person.id, graph.nodes_with_label("City")[0].id, "bornIn")
+        assert len(matcher.find_matches(born_in_pattern)) == 5
+        matcher.close()
+        assert matcher.candidate_index.apply_change not in graph._listeners

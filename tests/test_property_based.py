@@ -57,6 +57,8 @@ from repro.matching import (
 from repro.metrics import graph_facts, repair_quality
 from repro.repair import detect_violations
 
+from graph_oracle import structure_mismatches
+
 NODE_LABELS = ("A", "B", "C")
 EDGE_LABELS = ("r", "s")
 
@@ -103,9 +105,31 @@ def random_patterns(draw, max_variables: int = 3) -> Pattern:
 
 
 class TestGraphInvariants:
-    @given(graph=random_graphs())
+    @given(graph=random_graphs(), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_label_indexes_match_recount(self, graph):
+    def test_label_indexes_match_recount(self, graph, data):
+        """Label counts, per-node and per-label adjacency equal a recount
+        from the element stores, also after random merges, edge relabels
+        and node removals (the candidate index reads these live)."""
+        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+            action = data.draw(st.sampled_from(
+                ["merge", "relabel_edge", "remove_node", "add_edge"]))
+            node_ids = graph.node_ids()
+            if action == "merge" and len(node_ids) >= 2:
+                keep, merged = data.draw(st.permutations(node_ids))[:2]
+                graph.merge_nodes(keep, merged,
+                                  drop_duplicate_edges=data.draw(st.booleans()))
+            elif action == "relabel_edge" and graph.num_edges:
+                graph.relabel_edge(data.draw(st.sampled_from(graph.edge_ids())),
+                                   data.draw(st.sampled_from(EDGE_LABELS + ("t",))))
+            elif action == "remove_node" and len(node_ids) >= 2:
+                graph.remove_node(data.draw(st.sampled_from(node_ids)))
+            elif action == "add_edge":
+                graph.add_edge(data.draw(st.sampled_from(node_ids)),
+                               data.draw(st.sampled_from(node_ids)),
+                               data.draw(st.sampled_from(EDGE_LABELS)))
+            assert not structure_mismatches(graph)
+        assert not structure_mismatches(graph)
         recount_nodes = Counter(node.label for node in graph.nodes())
         for label, expected in recount_nodes.items():
             assert graph.count_nodes_with_label(label) == expected
@@ -335,7 +359,7 @@ class TestPrunedEnumerationEquivalence:
             elif action == "relabel":
                 graph.relabel_node(data.draw(st.sampled_from(graph.node_ids())),
                                    data.draw(st.sampled_from(("A", "B"))))
-        assert index.check_degree_integrity()
+        assert not structure_mismatches(graph)
         assert index.check_value_integrity()
         _assert_pruned_equals_naive(graph, pattern, index)
         index.detach()

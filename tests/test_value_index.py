@@ -309,10 +309,8 @@ class TestPushdownMatcherEquivalence:
         """Acceptance pin: indexed == unindexed matches for every rule
         pattern of every dataset domain."""
         workload = build_workload(domain, scale=80, error_rate=0.08, seed=5)
-        optimized = Matcher(workload.dirty, MatcherConfig.optimized(),
-                            maintain_index=False)
-        naive = Matcher(workload.dirty, MatcherConfig.naive(),
-                        maintain_index=False)
+        optimized = Matcher(workload.dirty, MatcherConfig.optimized())
+        naive = Matcher(workload.dirty, MatcherConfig.naive())
         for rule in workload.rules:
             left = {m.key() for m in optimized.find_matches(rule.pattern)}
             right = {m.key() for m in naive.find_matches(rule.pattern)}
@@ -335,8 +333,7 @@ class TestPushdownMatcherEquivalence:
 class TestPruneCountersSurfaced:
     def test_matching_stats_counters_populate(self):
         workload = build_workload("kg", scale=60, error_rate=0.08, seed=3)
-        matcher = Matcher(workload.dirty, MatcherConfig.optimized(),
-                          maintain_index=False)
+        matcher = Matcher(workload.dirty, MatcherConfig.optimized())
         for rule in workload.rules:
             matcher.find_matches(rule.pattern)
         stats = matcher.stats
