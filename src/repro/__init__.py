@@ -57,7 +57,7 @@ The most frequently used names are re-exported here; each subpackage
 exposes its full API.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 __version__ = "0.2.0"
 
@@ -117,16 +117,4 @@ _EXPORTS = {
 }
 
 __all__ = ["__version__", *_EXPORTS]
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

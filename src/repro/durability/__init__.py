@@ -22,43 +22,30 @@ The service layer wires all of it behind two calls::
     service.restore("kg", rules, durable=DurabilityConfig(dir=root))
 """
 
-from repro.durability import codec
-from repro.durability.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
-from repro.durability.snapshot import (
-    latest_snapshot,
-    list_snapshots,
-    load_snapshot,
-    prune_snapshots,
-    write_snapshot,
-)
-from repro.durability.recovery import (
-    DurabilityConfig,
-    RecoveredTenant,
-    TenantDurability,
-    has_tenant_state,
-    recover,
-)
-from repro.durability.replication import (
-    ChangefeedServer,
-    ReadReplica,
-    replica_match_probe,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "codec",
-    "DEFAULT_SEGMENT_BYTES",
-    "WriteAheadLog",
-    "latest_snapshot",
-    "list_snapshots",
-    "load_snapshot",
-    "prune_snapshots",
-    "write_snapshot",
-    "DurabilityConfig",
-    "RecoveredTenant",
-    "TenantDurability",
-    "has_tenant_state",
-    "recover",
-    "ChangefeedServer",
-    "ReadReplica",
-    "replica_match_probe",
-]
+#: public name -> the module defining it.  Resolved on first access
+#: (PEP 562): a durable tenant loads the log, snapshot and recovery
+#: modules, and only :class:`ReadReplica` / :class:`ChangefeedServer` load
+#: the socket stack.
+_EXPORTS = {
+    "codec": "repro.durability.codec",
+    "DEFAULT_SEGMENT_BYTES": "repro.durability.wal",
+    "WriteAheadLog": "repro.durability.wal",
+    "latest_snapshot": "repro.durability.snapshot",
+    "list_snapshots": "repro.durability.snapshot",
+    "load_snapshot": "repro.durability.snapshot",
+    "prune_snapshots": "repro.durability.snapshot",
+    "write_snapshot": "repro.durability.snapshot",
+    "DurabilityConfig": "repro.durability.recovery",
+    "RecoveredTenant": "repro.durability.recovery",
+    "TenantDurability": "repro.durability.recovery",
+    "has_tenant_state": "repro.durability.recovery",
+    "recover": "repro.durability.recovery",
+    "ChangefeedServer": "repro.durability.replication",
+    "ReadReplica": "repro.durability.replication",
+    "replica_match_probe": "repro.durability.replication",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -86,10 +86,12 @@ class PropertyGraph:
         # An id namespace prefixes every generated id ("s0:n7" instead of
         # "n7"), giving disjoint graphs — e.g. per-shard working copies in
         # repro.parallel — id spaces that can never collide with the primary
-        # graph's or each other's.
+        # graph's or each other's.  The generators skip the ids the stores
+        # hold, and every element leaving the graph is retired to its
+        # generator.
         prefix = f"{id_namespace}:" if id_namespace else ""
-        self._node_ids = IdGenerator(prefix=f"{prefix}n")
-        self._edge_ids = IdGenerator(prefix=f"{prefix}e")
+        self._node_ids = IdGenerator(prefix=f"{prefix}n", taken=self._nodes)
+        self._edge_ids = IdGenerator(prefix=f"{prefix}e", taken=self._edges)
 
     # ------------------------------------------------------------------
     # listeners
@@ -370,7 +372,6 @@ class PropertyGraph:
             node_id = str(node_id)
             if node_id in self._nodes:
                 raise DuplicateElementError(f"node id {node_id!r} already exists")
-            self._node_ids.observe(node_id)
         # Interned ids and labels: both are compared (and hashed) constantly in
         # the matcher's inner loops and repeat across elements, so pooling them
         # turns most comparisons into pointer checks and deduplicates storage.
@@ -397,7 +398,6 @@ class PropertyGraph:
             edge_id = str(edge_id)
             if edge_id in self._edges:
                 raise DuplicateElementError(f"edge id {edge_id!r} already exists")
-            self._edge_ids.observe(edge_id)
         edge_id = _intern(edge_id)
         edge = Edge(id=edge_id, source=self._nodes[source].id,
                     target=self._nodes[target].id, label=_intern(label),
@@ -437,10 +437,7 @@ class PropertyGraph:
             removed_specs.append(_edge_spec(edge))
             self._detach_edge(edge)
             removed_edges.append(edge.id)
-        del self._nodes[node_id]
-        del self._out_edges[node_id]
-        del self._in_edges[node_id]
-        self._discard_from_index(self._nodes_by_label, node.label, node_id)
+        self._detach_node(node)
         touched.discard(node_id)
         if self._listeners:
             self._emit(GraphChange(kind=ChangeKind.REMOVE_NODE, node_id=node_id,
@@ -574,10 +571,7 @@ class PropertyGraph:
         added_specs = tuple(_edge_spec(self._edges[edge_id])
                             for edge_id in added_edges)
 
-        del self._nodes[merge_id]
-        del self._out_edges[merge_id]
-        del self._in_edges[merge_id]
-        self._discard_from_index(self._nodes_by_label, merge.label, merge_id)
+        self._detach_node(merge)
         touched.discard(merge_id)
 
         if self._listeners:
@@ -631,10 +625,10 @@ class PropertyGraph:
         ``(id, source, target, label, properties)`` rows; the graph takes
         ownership of each properties dict.  Ids and labels are interned,
         endpoints and duplicate ids are validated with the per-element
-        errors, every store, adjacency dict, label bucket and label index
-        is filled in row order, and both id generators observe every id —
-        so the result, its iteration order and its next fresh ids all equal
-        those of the per-element build.  No change records are emitted.
+        errors, and every store, adjacency dict, label bucket and label
+        index is filled in row order — so the result, its iteration order
+        and its next fresh ids all equal those of the per-element build.  No
+        change records are emitted.
         """
         graph = cls(name=name, id_namespace=id_namespace)
         node_store, edge_store = graph._nodes, graph._edges
@@ -658,8 +652,6 @@ class PropertyGraph:
                         properties)
             edge_store[edge_id] = edge
             attach_edge(edge)
-        graph._node_ids.observe_all(node_store)
-        graph._edge_ids.observe_all(edge_store)
         return graph
 
     def copy(self, name: str | None = None) -> "PropertyGraph":
@@ -797,8 +789,18 @@ class PropertyGraph:
         self._out_by_label.setdefault((edge.source, edge.label), {})[edge.id] = None
         self._in_by_label.setdefault((edge.target, edge.label), {})[edge.id] = None
 
+    def _detach_node(self, node: Node) -> None:
+        """Drop an edge-free node from the store, its adjacency and its label
+        index entry, and retire its id."""
+        del self._nodes[node.id]
+        del self._out_edges[node.id]
+        del self._in_edges[node.id]
+        self._discard_from_index(self._nodes_by_label, node.label, node.id)
+        self._node_ids.retire(node.id)
+
     def _detach_edge(self, edge: Edge) -> None:
         del self._edges[edge.id]
+        self._edge_ids.retire(edge.id)
         self._out_edges[edge.source].pop(edge.id, None)
         self._in_edges[edge.target].pop(edge.id, None)
         self._discard_from_index(self._edges_by_label, edge.label, edge.id)

@@ -21,22 +21,23 @@ See ``docs/INGEST.md`` for the scheduling policy, the backpressure
 contract, and the asyncio usage shape.
 """
 
-from repro.exceptions import AdmissionError, IngestError
-from repro.ingest.aio import AsyncRepairService
-from repro.ingest.config import ADMISSION_POLICIES, IngestConfig, TenantQuota
-from repro.ingest.feed import BufferedFeed
-from repro.ingest.queues import EditQueue, SubmitAck
-from repro.ingest.scheduler import IngestFront
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionError",
-    "AsyncRepairService",
-    "BufferedFeed",
-    "EditQueue",
-    "IngestConfig",
-    "IngestError",
-    "IngestFront",
-    "SubmitAck",
-    "TenantQuota",
-]
+#: public name -> the module defining it.  Resolved on first access
+#: (PEP 562): the scheduler, queues and feed are all a thread-backed front
+#: needs, and only :class:`AsyncRepairService` loads asyncio.
+_EXPORTS = {
+    "ADMISSION_POLICIES": "repro.ingest.config",
+    "AdmissionError": "repro.exceptions",
+    "AsyncRepairService": "repro.ingest.aio",
+    "BufferedFeed": "repro.ingest.feed",
+    "EditQueue": "repro.ingest.queues",
+    "IngestConfig": "repro.ingest.config",
+    "IngestError": "repro.exceptions",
+    "IngestFront": "repro.ingest.scheduler",
+    "SubmitAck": "repro.ingest.queues",
+    "TenantQuota": "repro.ingest.config",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

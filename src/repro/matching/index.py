@@ -435,6 +435,11 @@ class CandidateIndex:
             self._graph.remove_listener(self.apply_change)
             self._attached = False
 
+    def attached_to(self, graph: PropertyGraph) -> bool:
+        """Whether the index follows ``graph``'s change feed (and so stays
+        exact under its mutations)."""
+        return self._attached and self._graph is graph
+
     def apply_change(self, change: GraphChange) -> None:
         """Update the value buckets for one elementary graph change.
 

@@ -273,7 +273,9 @@ class VF2Matcher:
     graph:
         The data graph.
     candidate_index:
-        Optional :class:`CandidateIndex`; when absent, root candidates are
+        Optional :class:`CandidateIndex`, attached to ``graph`` (its value
+        buckets follow the graph only through the change feed, so an
+        unattached one is refused); when absent, root candidates are
         computed by scanning the graph.
     use_decomposition:
         Use pivot selection + connected ordering (True) or declaration order
@@ -290,6 +292,12 @@ class VF2Matcher:
     use_cost_planner: bool = True
     stats: MatchingStats = field(default_factory=MatchingStats)
     _profiles: dict[int, _PatternProfile] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        index = self.candidate_index
+        if index is not None and not index.attached_to(self.graph):
+            raise ValueError("the candidate index is not attached to the "
+                             "matcher's graph; call attach() first")
 
     # ------------------------------------------------------------------
     # public API

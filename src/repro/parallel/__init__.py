@@ -20,7 +20,7 @@ See ``docs/PARALLEL.md`` for the architecture and the determinism /
 equivalence guarantees.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 #: public name -> the submodule defining it.  Resolved on first access
 #: (PEP 562), so a spawned pool worker — which unpickles
@@ -45,16 +45,4 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

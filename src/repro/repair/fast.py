@@ -369,10 +369,10 @@ class FastRepairCore:
     def drain(self, accept=None, collector: list[AppliedRepair] | None = None) -> None:
         """Process the queue to exhaustion (or budget), one repair at a time.
 
-        Each applied repair's delta is maintained before the next violation
-        is popped.  ``max_repairs`` budgets each drain call independently — a
-        session that exhausted the budget once can repair again on its next
-        call.
+        Each attempted repair's delta — a failed one's partial changes
+        included — is maintained before the next violation is popped.
+        ``max_repairs`` budgets each drain call independently — a session
+        that exhausted the budget once can repair again on its next call.
 
         ``accept`` (optional ``violation -> bool``) restricts the drain to
         the violations it approves; rejected ones are retired unrepaired
@@ -395,14 +395,17 @@ class FastRepairCore:
                 if not self.validate(violation):
                     continue
                 outcome = self.execute(violation)
-                if outcome.applied and outcome.delta:
-                    if collector is not None:
-                        collector.append(AppliedRepair(
-                            rule_name=violation.rule.name,
-                            region=frozenset(violation.match.bound_node_ids()),
-                            delta=outcome.delta,
-                            match=violation.match))
-                    self.maintain(outcome.delta, source="repair")
+                if not outcome.delta:
+                    continue
+                if outcome.applied and collector is not None:
+                    collector.append(AppliedRepair(
+                        rule_name=violation.rule.name,
+                        region=frozenset(violation.match.bound_node_ids()),
+                        delta=outcome.delta,
+                        match=violation.match))
+                # a failed repair keeps the changes of the operations that
+                # ran before the failing one, so its delta is folded too
+                self.maintain(outcome.delta, source="repair")
 
     def _skip(self, violation: Violation) -> None:
         """Retire a violation without repairing it (rejected by an ``accept``

@@ -9,35 +9,51 @@ deterministic counter-based generator rather than ``uuid4``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Container
 
 
 @dataclass
 class IdGenerator:
     """Generates ids of the form ``"<prefix><counter>"``.
 
-    The generator can be told about existing ids (via :meth:`observe`) so
-    that freshly generated ids never collide with ids already present in a
-    graph that was loaded from disk or produced by another generator.
+    ``taken`` is the live id store of the generator's owner (a graph's node
+    or edge dict).  A generated id never collides with an id the owner
+    holds, held before, or was handed by :meth:`reserve`, yet the generator
+    keeps no entry per live element: :meth:`next` skips a candidate that
+    ``taken`` holds, and :meth:`retire` records an id that left the store —
+    only while the counter can still reach it, so the record stays small.
+    An id the counter has passed can never be a candidate again, which
+    covers every id this generator issued, reserved ids included.
     """
 
     prefix: str = "x"
+    taken: Container[str] = field(default=(), repr=False, compare=False)
     _counter: int = field(default=0, repr=False)
-    _seen: set[str] = field(default_factory=set, repr=False)
+    _retired: set[str] = field(default_factory=set, repr=False)
 
-    def observe(self, existing_id: str) -> None:
-        """Record an id that already exists so it is never handed out again."""
-        self._seen.add(str(existing_id))
-
-    def observe_all(self, existing_ids) -> None:
-        self._seen.update(map(str, existing_ids))
+    def retire(self, element_id: str) -> None:
+        """Record that ``element_id`` left ``taken``, so it is never
+        handed out.  Only an id of the form ``"<prefix><n>"`` with ``n`` at
+        or past the counter is kept: no other id is ever a candidate."""
+        prefix = self.prefix
+        if not element_id.startswith(prefix):
+            return
+        digits = element_id[len(prefix):]
+        if (digits.isascii() and digits.isdigit()
+                and (digits == "0" or digits[0] != "0")
+                and int(digits) >= self._counter):
+            self._retired.add(element_id)
 
     def next(self) -> str:
-        """Return a fresh id that has not been observed or generated before."""
+        """Return a fresh id that is neither held nor retired."""
+        taken, retired = self.taken, self._retired
         while True:
             candidate = f"{self.prefix}{self._counter}"
             self._counter += 1
-            if candidate not in self._seen:
-                self._seen.add(candidate)
+            if candidate in retired:
+                # the counter is past it now, so the record is spent
+                retired.discard(candidate)
+            elif candidate not in taken:
                 return candidate
 
     @property
@@ -47,9 +63,8 @@ class IdGenerator:
         Part of a graph's durable state: a snapshot that records the counter
         lets a restored generator resume *past* every id the original ever
         issued — including ids that were issued and then removed again, which
-        the restored graph cannot re-discover by observation alone — so a
-        recovered process generates the same fresh ids the crashed one would
-        have.
+        the restored graph no longer holds — so a recovered process generates
+        the same fresh ids the crashed one would have.
         """
         return self._counter
 
@@ -61,7 +76,7 @@ class IdGenerator:
     def reserve(self, count: int) -> list[str]:
         """Claim ``count`` fresh ids at once and return them.
 
-        Reserved ids are marked as seen immediately, so no later :meth:`next`
+        The counter moves past the reserved ids, so no later :meth:`next`
         (or reservation) can hand them out again — the primitive behind the
         delta id-space reservation scheme: a coordinator reserves a block from
         the primary graph's generator and rewrites a shard's (or replica's)

@@ -43,10 +43,10 @@ from repro.matching import (
     naive_candidates,
     pattern_requirements,
 )
-from repro.matching.predicates import exists, ne
+from repro.matching.predicates import eq, exists, ne, same_value
 from repro.repair.fast import FastRepairCore
 from repro.repair.violation import Violation
-from repro.rules.builder import incompleteness_rule
+from repro.rules.builder import conflict_rule, incompleteness_rule, redundancy_rule
 from repro.rules.grr import RuleSet
 
 from graph_oracle import structure_mismatches
@@ -636,6 +636,62 @@ class TestViolationLedger:
             assert report.remaining_violations == _rescan_remaining(core) == 0
             assert report.reached_fixpoint
 
+    def test_failed_repair_partial_changes_reach_the_stores(self):
+        """A repair that fails mid-way leaves its earlier operations' changes
+        in the graph; the drain must fold them into the stores.  Here the
+        merge succeeds and the update of the merged node fails, and the
+        survivor ends up holding both ``keep=True`` and the ``R`` edge — a
+        conflict only maintenance of the failed repair's delta finds (fast
+        had reported no remaining violation and a fixpoint)."""
+
+        def build() -> PropertyGraph:
+            graph = PropertyGraph()
+            graph.add_node("A", {"name": "dup", "keep": True}, node_id="a")
+            graph.add_node("A", {"name": "dup"}, node_id="b")
+            graph.add_node("C", node_id="c")
+            graph.add_node("D", node_id="d")
+            graph.add_edge("a", "c", "S")
+            graph.add_edge("b", "c", "S")
+            graph.add_edge("b", "d", "R")
+            return graph
+
+        dedup = (redundancy_rule("dedup-then-touch")
+                 .node("a", "A").node("b", "A").node("c", "C")
+                 .edge("a", "c", "S").edge("b", "c", "S")
+                 .compare(same_value("a", "name", "b"))
+                 .merge(keep="a", merge="b").update_node("b", {"touched": True})
+                 .build())
+        no_kept_r = (conflict_rule("kept-has-no-r")
+                     .node("x", "A", [eq("keep", True)]).node("y", "D")
+                     .edge("x", "y", "R", variable="f").delete_edge("f")
+                     .build())
+        rules = RuleSet([dedup, no_kept_r])
+
+        graph = build()
+        with RepairSession(graph, rules, config=RepairConfig.fast()) as session:
+            core = session.backend.core
+            report = session.repair()
+            _assert_stores_equal_recompute(core.incremental, graph, core.index)
+            assert core.count_remaining() == _rescan_remaining(core) == 0
+        # fast: the failed merge leaves one A node holding keep=True, and the
+        # conflict repair then deletes its R edge
+        assert (report.repairs_failed, report.repairs_applied) == (1, 1)
+        assert report.reached_fixpoint
+        assert sorted((e.source, e.label, e.target) for e in graph.edges()) == \
+            [("b", "S", "c")]
+
+        # naive stops after the round in which nothing applied: it keeps the
+        # R edge and counts that round's two dedup violations as remaining
+        naive_graph = build()
+        with RepairSession(naive_graph, rules, config=RepairConfig.naive()) as session:
+            naive = session.repair()
+        assert (naive.repairs_failed, naive.repairs_applied) == (1, 0)
+        assert (naive.remaining_violations, naive.reached_fixpoint) == (2, False)
+        assert sorted((e.source, e.label, e.target) for e in naive_graph.edges()) == \
+            [("b", "R", "d"), ("b", "S", "c")]
+        assert naive_graph.node("b").properties == graph.node("b").properties == \
+            {"name": "dup", "keep": True}
+
 
 class TestPatternRequirementsRegression:
     """Parallel variable-less pattern edges may share one witnessing data edge
@@ -678,6 +734,7 @@ class TestPatternRequirementsRegression:
         assert expected  # the bug made this match disappear under the index
 
         index = CandidateIndex(graph)
+        index.attach()
         optimized = VF2Matcher(graph=graph, candidate_index=index, use_decomposition=True)
         assert {m.key() for m in optimized.find_matches(pattern)} == expected
         for variable in ("v0", "v1"):

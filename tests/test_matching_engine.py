@@ -16,6 +16,7 @@ from repro.matching import (
     PatternNode,
     VF2Matcher,
     different_value,
+    eq,
     naive_candidates,
     pattern_requirements,
     same_value,
@@ -78,6 +79,35 @@ class TestCandidateIndex:
 
 
 class TestVF2Matcher:
+    def test_unattached_index_is_refused(self):
+        """An index off the change feed goes stale: once a value bucket
+        exists, an update moving a node into it is missed (the indexed
+        search found 0 matches where the index-free one found 1)."""
+        graph = PropertyGraph()
+        node = graph.add_node("A", {"k": 1})
+        pattern = Pattern(nodes=[PatternNode("x", "A", predicates=(eq("k", 2),))],
+                          name="k-is-2")
+        index = CandidateIndex(graph)
+        with pytest.raises(ValueError, match="not attached"):
+            VF2Matcher(graph=graph, candidate_index=index)
+        other = PropertyGraph()
+        other_index = CandidateIndex(other)
+        other_index.attach()
+        with pytest.raises(ValueError, match="not attached"):
+            VF2Matcher(graph=graph, candidate_index=other_index)
+        other_index.detach()
+
+        index.attach()
+        matcher = VF2Matcher(graph=graph, candidate_index=index)
+        assert matcher.find_matches(pattern) == []  # registers the k bucket
+        graph.update_node(node.id, {"k": 2})
+        found = matcher.find_matches(pattern)
+        assert [match.node_bindings for match in found] == [{"x": node.id}]
+        assert len(VF2Matcher(graph=graph).find_matches(pattern)) == 1
+        index.detach()
+        with pytest.raises(ValueError, match="not attached"):
+            VF2Matcher(graph=graph, candidate_index=index)
+
     def test_all_matches_found(self, tiny_kg, born_in_pattern):
         matcher = VF2Matcher(graph=tiny_kg)
         matches = matcher.find_matches(born_in_pattern)
@@ -159,7 +189,9 @@ class TestVF2Matcher:
     def test_existence_probes_record_hit_and_time(self, tiny_kg, born_in_pattern):
         """find_one / exists stop at the first match; the hit and the time
         spent must still reach the stats (a seeded and an unseeded probe)."""
-        matcher = VF2Matcher(graph=tiny_kg, candidate_index=CandidateIndex(tiny_kg))
+        index = CandidateIndex(tiny_kg)
+        index.attach()
+        matcher = VF2Matcher(graph=tiny_kg, candidate_index=index)
         person = next(iter(tiny_kg.node_ids_with_label("Person")))
         assert matcher.exists(born_in_pattern)
         assert matcher.stats.matches_found == 1
@@ -168,6 +200,7 @@ class TestVF2Matcher:
         assert matcher.find_one(born_in_pattern, seed={"p": person}) is not None
         assert matcher.stats.matches_found == 2
         assert matcher.stats.elapsed_seconds > first_elapsed
+        index.detach()
 
     def test_fully_bound_probe_checks_edges_and_comparisons(self, tiny_kg):
         """A seed binding every node variable still binds edge variables to
@@ -177,7 +210,9 @@ class TestVF2Matcher:
             edges=[PatternEdge("p", "c", "livesIn", variable="e1"),
                    PatternEdge("p", "c", "livesIn", variable="e2")],
             name="dup-lives-in")
-        matcher = VF2Matcher(graph=tiny_kg, candidate_index=CandidateIndex(tiny_kg))
+        index = CandidateIndex(tiny_kg)
+        index.attach()
+        matcher = VF2Matcher(graph=tiny_kg, candidate_index=index)
         expected = matcher.find_matches(pattern)
         assert len(expected) == 2  # Ada's two parallel livesIn edges, both ways
         for match in expected:
@@ -188,6 +223,7 @@ class TestVF2Matcher:
         paris = next(node.id for node in tiny_kg.nodes()
                      if node.properties.get("name") == "Paris")
         assert not matcher.exists(pattern, seed={"p": bob, "c": paris})
+        index.detach()
 
 
 class TestMatcherConfigurations:

@@ -52,16 +52,17 @@ class TestPlannerMatchEquivalence:
     def test_planned_order_finds_identical_matches(self, domain):
         workload = _workload(domain)
         graph = workload.dirty
+        index = CandidateIndex(graph)
+        index.attach()
         for rule in workload.rules:
-            planned = VF2Matcher(graph=graph,
-                                 candidate_index=CandidateIndex(graph),
+            planned = VF2Matcher(graph=graph, candidate_index=index,
                                  use_cost_planner=True)
-            static = VF2Matcher(graph=graph,
-                                candidate_index=CandidateIndex(graph),
+            static = VF2Matcher(graph=graph, candidate_index=index,
                                 use_cost_planner=False)
             planned_keys = {m.key() for m in planned.find_matches(rule.pattern)}
             static_keys = {m.key() for m in static.find_matches(rule.pattern)}
             assert planned_keys == static_keys, rule.name
+        index.detach()
 
     def test_matcher_config_threads_the_flag(self):
         assert MatcherConfig.optimized().use_cost_planner is True
@@ -157,10 +158,10 @@ class TestPlannerObservability:
         must trigger at most re-plans, never a wrong result."""
         workload = _workload("kg")
         graph = workload.dirty.copy(name="replan")
-        matcher = VF2Matcher(graph=graph,
-                             candidate_index=CandidateIndex(graph),
+        index = CandidateIndex(graph)
+        index.attach()
+        matcher = VF2Matcher(graph=graph, candidate_index=index,
                              use_cost_planner=True)
-        matcher.candidate_index.attach()
         rule = next(iter(workload.rules))
         before = {m.key() for m in matcher.find_matches(rule.pattern)}
         assert matcher.stats.planner_plans >= 1
@@ -168,11 +169,14 @@ class TestPlannerObservability:
         for i in range(200):
             graph.add_node("Person", {"name": f"skew-{i}"})
         after = {m.key() for m in matcher.find_matches(rule.pattern)}
-        fresh = VF2Matcher(graph=graph, candidate_index=CandidateIndex(graph),
+        fresh_index = CandidateIndex(graph)
+        fresh_index.attach()
+        fresh = VF2Matcher(graph=graph, candidate_index=fresh_index,
                            use_cost_planner=False)
         assert after == {m.key() for m in fresh.find_matches(rule.pattern)}
         assert before  # the rule does fire on this workload
-        matcher.candidate_index.detach()
+        fresh_index.detach()
+        index.detach()
 
 
 class TestSignatureAwareRoots:
@@ -196,12 +200,14 @@ class TestSignatureAwareRoots:
     def test_roots_and_nodes_tried_per_pattern(self, small_kg_workload):
         graph = small_kg_workload.dirty
         index = CandidateIndex(graph)
+        index.attach()
         observed = {}
         for rule in small_kg_workload.rules:
             matcher = VF2Matcher(graph=graph, candidate_index=index)
             matcher.find_matches(rule.pattern)
             observed[rule.name] = (matcher.stats.planner_orders[rule.pattern.name],
                                    matcher.stats.nodes_tried)
+        index.detach()
         assert observed == self.EXPECTED
 
     def test_root_estimate_counts_nodes_meeting_the_signature(self, small_kg_workload):

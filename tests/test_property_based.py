@@ -166,6 +166,7 @@ class TestMatcherEquivalence:
         expected = {match.key() for match in naive.find_matches(pattern)}
 
         index = CandidateIndex(graph)
+        index.attach()
         optimized = VF2Matcher(graph=graph, candidate_index=index, use_decomposition=True)
         actual = {match.key() for match in optimized.find_matches(pattern)}
         assert actual == expected
@@ -473,7 +474,9 @@ class TestClosedProbes:
         searched = VF2Matcher(graph=graph).find_one(pattern, seed=seed) is not None
         closed = (not pattern.edge_variables
                   and len(seed) == len(pattern.nodes))
-        for index in (None, CandidateIndex(graph)):
+        attached = CandidateIndex(graph)
+        attached.attach()
+        for index in (None, attached):
             matcher = VF2Matcher(graph=graph, candidate_index=index)
             answer = matcher.exists_extension(pattern, bindings)
             assert answer == searched

@@ -107,10 +107,14 @@ def test_enumeration_counters(domain, variant):
         matcher = VF2Matcher(graph=graph, candidate_index=None,
                              use_decomposition=False)
     else:
-        matcher = VF2Matcher(graph=graph, candidate_index=CandidateIndex(graph),
+        index = CandidateIndex(graph)
+        index.attach()
+        matcher = VF2Matcher(graph=graph, candidate_index=index,
                              use_cost_planner=variant == "planned")
     keys = [match.key() for rule in instance.rules
             for match in matcher.find_matches(rule.pattern)]
+    if matcher.candidate_index is not None:
+        matcher.candidate_index.detach()
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()[:16]
     assert (len(keys), matcher.stats.nodes_tried, matcher.stats.backtracks,
             digest) == ENUMERATION_COUNTERS[(domain, variant)]

@@ -49,14 +49,22 @@ from repro.matching.predicates import PredicateOp
 from tests.test_incremental_index import _random_mutation
 
 
-def _match_keys(graph, pattern, candidate_index):
-    engine = VF2Matcher(graph=graph, candidate_index=candidate_index)
-    return {match.key() for match in engine.find_matches(pattern)}, engine.stats
+def _match_keys(graph, pattern, indexed: bool):
+    """Match keys and stats of one search, through an attached candidate
+    index or without one."""
+    index = CandidateIndex(graph) if indexed else None
+    if index is not None:
+        index.attach()
+    engine = VF2Matcher(graph=graph, candidate_index=index)
+    keys = {match.key() for match in engine.find_matches(pattern)}
+    if index is not None:
+        index.detach()
+    return keys, engine.stats
 
 
 def _assert_equivalent(graph, pattern):
-    indexed, _ = _match_keys(graph, pattern, CandidateIndex(graph))
-    naive, _ = _match_keys(graph, pattern, None)
+    indexed, _ = _match_keys(graph, pattern, True)
+    naive, _ = _match_keys(graph, pattern, False)
     assert indexed == naive
     return indexed
 
@@ -285,7 +293,7 @@ class TestRangeMatcherEquivalence:
                    PatternNode("c", "City")],
             edges=[PatternEdge("p", "c", "bornIn")],
             name="counter")
-        _, stats = _match_keys(graph, pattern, CandidateIndex(graph))
+        _, stats = _match_keys(graph, pattern, True)
         assert stats.range_bucket_candidates > 0
 
 

@@ -17,11 +17,21 @@ class TestIdGenerator:
         assert len(set(ids)) == 100
         assert all(identifier.startswith("n") for identifier in ids)
 
-    def test_observed_ids_are_skipped(self):
-        generator = IdGenerator(prefix="n")
-        generator.observe("n0")
-        generator.observe_all(["n1", "n2"])
+    def test_taken_and_retired_ids_are_skipped(self):
+        live = {"n0": None, "n2": None}
+        generator = IdGenerator(prefix="n", taken=live)
+        generator.retire("n1")
         assert generator.next() == "n3"
+        assert generator._retired == set()
+
+    def test_retire_keeps_only_ids_the_counter_can_reach(self):
+        generator = IdGenerator(prefix="n")
+        generator.reserve(5)
+        for element_id in ("n3", "n05", "x9", "n", "n٣", "n7", "n12"):
+            generator.retire(element_id)
+        assert generator._retired == {"n7", "n12"}
+        assert [generator.next() for _ in range(3)] == ["n5", "n6", "n8"]
+        assert generator._retired == {"n12"}
 
     def test_callable_shorthand(self):
         generator = IdGenerator(prefix="e")

@@ -45,15 +45,23 @@ from repro.matching import (
 DOMAINS = ("kg", "movies", "social")
 
 
-def _match_keys(matcher_graph, pattern, candidate_index):
-    engine = VF2Matcher(graph=matcher_graph, candidate_index=candidate_index)
-    return {match.key() for match in engine.find_matches(pattern)}, engine.stats
+def _match_keys(graph, pattern, indexed: bool):
+    """Match keys and stats of one search, through an attached candidate
+    index or without one."""
+    index = CandidateIndex(graph) if indexed else None
+    if index is not None:
+        index.attach()
+    engine = VF2Matcher(graph=graph, candidate_index=index)
+    keys = {match.key() for match in engine.find_matches(pattern)}
+    if index is not None:
+        index.detach()
+    return keys, engine.stats
 
 
 def _assert_equivalent(graph, pattern):
     """The indexed matcher (pushdown active) finds exactly the naive matches."""
-    indexed, _ = _match_keys(graph, pattern, CandidateIndex(graph))
-    naive, _ = _match_keys(graph, pattern, None)
+    indexed, _ = _match_keys(graph, pattern, True)
+    naive, _ = _match_keys(graph, pattern, False)
     assert indexed == naive
     return indexed
 
@@ -298,8 +306,10 @@ class TestPushdownMatcherEquivalence:
             edges=[PatternEdge("p", "c", "bornIn")],
             name="absent")
         index = CandidateIndex(graph)
+        index.attach()
         engine = VF2Matcher(graph=graph, candidate_index=index)
         assert engine.find_matches(pattern) == []
+        index.detach()
         # the pushdown answered from the bucket: at most the pivot variable's
         # root was tried, never a Person candidate
         assert engine.stats.nodes_tried <= 1
